@@ -245,8 +245,8 @@ func BenchmarkMappingIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAdd isolates the §2.2 store trade-off: insertion cost of
-// the dense, collapsing, sparse, and paginated layouts.
+// BenchmarkStoreAdd isolates the §2.2 store cost: insertion into the
+// unbounded dense layout and the collapsing one.
 func BenchmarkStoreAdd(b *testing.B) {
 	stores := []struct {
 		name string
@@ -254,8 +254,6 @@ func BenchmarkStoreAdd(b *testing.B) {
 	}{
 		{"Dense", func() store.Store { return store.NewDenseStore() }},
 		{"CollapsingLowest", func() store.Store { return store.NewCollapsingLowestDenseStore(2048) }},
-		{"Sparse", func() store.Store { return store.NewSparseStore() }},
-		{"BufferedPaginated", func() store.Store { return store.NewBufferedPaginatedStore() }},
 	}
 	m, err := mapping.NewLogarithmic(0.01)
 	if err != nil {
@@ -354,7 +352,7 @@ func BenchmarkShardedQuantile(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Quantile(0.99); err != nil {
+		if _, err := s.Snapshot().Quantile(0.99); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -363,7 +361,7 @@ func BenchmarkShardedQuantile(b *testing.B) {
 // BenchmarkShardedSummary documents the merge-once win of the Summary
 // API: reading count, sum, min, max, avg, and three quantiles off a
 // sharded sketch costs one shard-merge pass via Summary, but one merge
-// pass *per quantile* via naive independent query calls.
+// pass *per statistic* when each is read off its own snapshot.
 func BenchmarkShardedSummary(b *testing.B) {
 	values := datasetValues("span", benchN)
 	proto, err := ddsketch.NewCollapsing(harness.DDSketchAlpha, harness.DDSketchMaxBins)
@@ -386,12 +384,15 @@ func BenchmarkShardedSummary(b *testing.B) {
 	b.Run("NaivePerQueryReads", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range qs {
-				if _, err := s.Quantile(q); err != nil {
+				if _, err := s.Snapshot().Quantile(q); err != nil {
 					b.Fatal(err)
 				}
 			}
-			for _, query := range []func() (float64, error){s.Sum, s.Min, s.Max, s.Avg} {
-				if _, err := query(); err != nil {
+			for _, query := range []func(*ddsketch.DDSketch) (float64, error){
+				(*ddsketch.DDSketch).Sum, (*ddsketch.DDSketch).Min,
+				(*ddsketch.DDSketch).Max, (*ddsketch.DDSketch).Avg,
+			} {
+				if _, err := query(s.Snapshot()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -109,10 +109,39 @@ func main() {
 		"per-attempt timeout for one forwarded POST")
 	flag.Parse()
 
-	srv, err := ddserver.NewServer(cfg)
-	if err != nil {
+	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "ddserver:", err)
 		os.Exit(1)
+	}
+}
+
+// Listener timeouts. ReadHeaderTimeout cuts off clients that trickle
+// their headers, ReadTimeout bounds a whole request including its body
+// (an /ingest sketch or a /values batch), and IdleTimeout reclaims
+// idle keep-alive connections.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener serving handler on addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// run serves until the listener fails. Its deferred cleanup (closing
+// the server, stopping the drain loop) runs before main exits.
+func run(cfg ddserver.Config) error {
+	srv, err := ddserver.NewServer(cfg)
+	if err != nil {
+		return err
 	}
 	defer srv.Close()
 
@@ -131,7 +160,5 @@ func main() {
 	}
 	log.Printf("ddserver listening on %s (α=%g, mapping=%s, %d windows × %v)",
 		cfg.Addr, cfg.Alpha, cfg.MappingName, cfg.Windows, cfg.Interval)
-	if err := http.ListenAndServe(cfg.Addr, srv.Handler()); err != nil {
-		log.Fatal(err)
-	}
+	return newHTTPServer(cfg.Addr, srv.Handler()).ListenAndServe()
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/ddsketch-go/ddsketch/encoding"
 	"github.com/ddsketch-go/ddsketch/mapping"
 	"github.com/ddsketch-go/ddsketch/store"
 )
@@ -174,7 +175,7 @@ func relDiff(a, b float64) float64 {
 func TestDataDogRoundTripBins(t *testing.T) {
 	builds := map[string]func() (*DDSketch, error){
 		"log":       func() (*DDSketch, error) { return New(0.01) },
-		"sparse":    func() (*DDSketch, error) { return NewSparse(0.05) },
+		"coarse":    func() (*DDSketch, error) { return New(0.05) },
 		"collapsed": func() (*DDSketch, error) { return NewCollapsing(0.02, 64) },
 		"linear": func() (*DDSketch, error) {
 			m, err := mapping.NewLinearlyInterpolated(0.01)
@@ -348,6 +349,88 @@ func TestDataDogUniformCollapseFlattens(t *testing.T) {
 	if renative.epoch != 0 || renative.uniformMaxBins != 0 {
 		t.Errorf("native re-round-trip resurrected lineage: epoch %d, budget %d",
 			renative.epoch, renative.uniformMaxBins)
+	}
+}
+
+// --- retired store tags ----------------------------------------------
+
+// legacyStorePayload hand-builds a native v1 payload — α = 1%
+// logarithmic mapping, values 1, 2, 4 and a weight-2 −3 — writing the
+// given type tags for the positive and negative store. Tags 4 (sparse)
+// and 5 (buffered paginated) carry no parameters, so the bytes differ
+// from the dense-tagged (1) payload only in the tag bytes.
+func legacyStorePayload(t *testing.T, positiveTag, negativeTag byte) []byte {
+	t.Helper()
+	m, err := mapping.NewLogarithmic(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := encoding.NewWriter(64)
+	for _, b := range []byte("DDS\x01") { // magic, version 1
+		w.Byte(b)
+	}
+	m.Encode(w)
+	w.Varfloat64(0)  // zeroCount
+	w.Varfloat64(-3) // min
+	w.Varfloat64(4)  // max
+	w.Varfloat64(1)  // sum: 1 + 2 + 4 − 2·3
+	w.Byte(positiveTag)
+	w.Uvarint(3)
+	prev := 0
+	for _, v := range []float64{1, 2, 4} {
+		w.Varint(int64(m.Index(v) - prev))
+		w.Varfloat64(1)
+		prev = m.Index(v)
+	}
+	w.Byte(negativeTag)
+	w.Uvarint(1)
+	w.Varint(int64(m.Index(3)))
+	w.Varfloat64(2)
+	return w.Bytes()
+}
+
+// TestDecodeRetiredStoreTags: payloads written with the retired sparse
+// (4) and buffered-paginated (5) store tags, on either store, still
+// decode — into dense stores holding exactly the bins, and answering
+// exactly the quantiles, of the dense-tagged payload.
+func TestDecodeRetiredStoreTags(t *testing.T) {
+	const dense, sparse, paginated = 1, 4, 5
+	want, err := Decode(legacyStorePayload(t, dense, dense))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := []float64{0, 0.2, 0.5, 0.8, 1}
+	wantQuantiles, err := want.Quantiles(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tags := range map[string][2]byte{
+		"sparse-positive":    {sparse, dense},
+		"sparse-negative":    {dense, sparse},
+		"paginated-positive": {paginated, dense},
+		"paginated-negative": {dense, paginated},
+	} {
+		t.Run(name, func(t *testing.T) {
+			got, err := Decode(legacyStorePayload(t, tags[0], tags[1]))
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			for side, st := range map[string]store.Store{"positive": got.positive, "negative": got.negative} {
+				if _, ok := st.(*store.DenseStore); !ok {
+					t.Errorf("%s store decoded to %T, want *store.DenseStore", side, st)
+				}
+			}
+			assertSameBins(t, got, want)
+			gotQuantiles, err := got.Quantiles(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range qs {
+				if gotQuantiles[i] != wantQuantiles[i] {
+					t.Errorf("q=%g: %g, want %g", q, gotQuantiles[i], wantQuantiles[i])
+				}
+			}
+		})
 	}
 }
 

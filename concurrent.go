@@ -59,24 +59,6 @@ func (c *Concurrent) Delete(value float64) error {
 	return c.sketch.Delete(value)
 }
 
-// Quantile returns an α-accurate estimate of the q-quantile.
-//
-// Queries take the write lock: several stores mutate internal state
-// (buffer flushes, range-hint refreshes) while scanning.
-func (c *Concurrent) Quantile(q float64) (float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sketch.Quantile(q)
-}
-
-// Quantiles returns α-accurate estimates for each of the given quantiles,
-// all computed against the same consistent snapshot.
-func (c *Concurrent) Quantiles(qs []float64) ([]float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sketch.Quantiles(qs)
-}
-
 // Count returns the total weight held by the sketch.
 func (c *Concurrent) Count() float64 {
 	c.mu.RLock()
@@ -84,55 +66,15 @@ func (c *Concurrent) Count() float64 {
 	return c.sketch.Count()
 }
 
-// IsEmpty reports whether the sketch holds no values.
-func (c *Concurrent) IsEmpty() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sketch.IsEmpty()
-}
-
-// Min returns the exact minimum inserted value.
-func (c *Concurrent) Min() (float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sketch.Min()
-}
-
-// Max returns the exact maximum inserted value.
-func (c *Concurrent) Max() (float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sketch.Max()
-}
-
-// Sum returns the exact sum of inserted values.
-func (c *Concurrent) Sum() (float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sketch.Sum()
-}
-
-// Avg returns the exact average of inserted values.
-func (c *Concurrent) Avg() (float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sketch.Avg()
-}
-
 // Summary returns count, sum, min, max, avg, and the requested
 // quantiles, all read under one lock acquisition.
+//
+// Reads take the write lock: the stores refresh their range hints
+// while scanning.
 func (c *Concurrent) Summary(qs ...float64) (Summary, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sketch.summarize(qs)
-}
-
-// CDF returns an estimate of the fraction of inserted values that are
-// less than or equal to value.
-func (c *Concurrent) CDF(value float64) (float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sketch.CDF(value)
 }
 
 // MergeWith folds other into the wrapped sketch.
@@ -140,16 +82,6 @@ func (c *Concurrent) MergeWith(other *DDSketch) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sketch.MergeWith(other)
-}
-
-// DecodeAndMergeWith decodes a serialized sketch and folds it into the
-// wrapped sketch. Decoding happens outside the lock.
-func (c *Concurrent) DecodeAndMergeWith(data []byte) error {
-	other, err := Decode(data)
-	if err != nil {
-		return err
-	}
-	return c.MergeWith(other)
 }
 
 // Snapshot returns a deep copy of the wrapped sketch, for lock-free
@@ -169,18 +101,6 @@ func (c *Concurrent) Flush() *DDSketch {
 	snapshot := c.sketch.Copy()
 	c.sketch.Clear()
 	return snapshot
-}
-
-// Encode returns a binary serialization of a consistent snapshot.
-func (c *Concurrent) Encode() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sketch.Encode()
-}
-
-// EncodeAs serializes a consistent snapshot in the named wire format.
-func (c *Concurrent) EncodeAs(format string) ([]byte, error) {
-	return c.Snapshot().EncodeAs(format)
 }
 
 // Clear empties the wrapped sketch, keeping its configuration and

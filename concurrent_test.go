@@ -17,7 +17,7 @@ func newConcurrent(t *testing.T) *Concurrent {
 
 func TestConcurrentBasicOperations(t *testing.T) {
 	c := newConcurrent(t)
-	if !c.IsEmpty() {
+	if c.Count() > 0 {
 		t.Error("new concurrent sketch not empty")
 	}
 	if err := c.Add(5); err != nil {
@@ -29,23 +29,24 @@ func TestConcurrentBasicOperations(t *testing.T) {
 	if got := c.Count(); got != 4 {
 		t.Errorf("Count = %g", got)
 	}
-	if v, err := c.Quantile(1); err != nil || math.Abs(v-10)/10 > 0.01 {
-		t.Errorf("Quantile(1) = (%g, %v)", v, err)
+	summary, err := c.Summary(0, 1)
+	if err != nil || len(summary.Quantiles) != 2 {
+		t.Fatalf("Summary = (%+v, %v)", summary, err)
 	}
-	if vs, err := c.Quantiles([]float64{0, 1}); err != nil || len(vs) != 2 {
-		t.Errorf("Quantiles = (%v, %v)", vs, err)
+	if v := summary.Quantiles[1].Value; math.Abs(v-10)/10 > 0.01 {
+		t.Errorf("quantile 1 = %g", v)
 	}
-	if min, err := c.Min(); err != nil || min != 5 {
-		t.Errorf("Min = (%g, %v)", min, err)
+	if summary.Min != 5 {
+		t.Errorf("Min = %g", summary.Min)
 	}
-	if max, err := c.Max(); err != nil || max != 10 {
-		t.Errorf("Max = (%g, %v)", max, err)
+	if summary.Max != 10 {
+		t.Errorf("Max = %g", summary.Max)
 	}
-	if sum, err := c.Sum(); err != nil || sum != 35 {
-		t.Errorf("Sum = (%g, %v)", sum, err)
+	if summary.Sum != 35 {
+		t.Errorf("Sum = %g", summary.Sum)
 	}
-	if avg, err := c.Avg(); err != nil || avg != 8.75 {
-		t.Errorf("Avg = (%g, %v)", avg, err)
+	if summary.Avg != 8.75 {
+		t.Errorf("Avg = %g", summary.Avg)
 	}
 	if err := c.Delete(5); err != nil {
 		t.Fatal(err)
@@ -79,10 +80,10 @@ func TestConcurrentParallelAddsAndQueries(t *testing.T) {
 		go func() {
 			defer rg.Done()
 			for i := 0; i < 200; i++ {
-				if c.IsEmpty() {
+				if c.Count() <= 0 {
 					continue
 				}
-				if _, err := c.Quantile(0.5); err != nil && err != ErrEmptySketch {
+				if _, err := c.Summary(0.5); err != nil && err != ErrEmptySketch {
 					t.Error(err)
 					return
 				}
@@ -106,7 +107,7 @@ func TestConcurrentFlush(t *testing.T) {
 	if snapshot.Count() != 100 {
 		t.Errorf("flushed count = %g", snapshot.Count())
 	}
-	if !c.IsEmpty() {
+	if c.Count() > 0 {
 		t.Error("sketch not empty after Flush")
 	}
 	// The flushed sketch is independent of the live one.
@@ -164,7 +165,7 @@ func TestConcurrentSnapshotAndEncode(t *testing.T) {
 	if c.Count() != 2 {
 		t.Error("Snapshot must not clear the sketch")
 	}
-	decoded, err := Decode(c.Encode())
+	decoded, err := Decode(c.Snapshot().Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

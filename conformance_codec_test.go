@@ -61,13 +61,14 @@ func TestConformanceCrossCodec(t *testing.T) {
 		for name, variant := range conformanceVariantsWith(t) {
 			t.Run(codec.Name()+"/"+name, func(t *testing.T) {
 				// Auto-detecting merge: the variant never learns the format.
-				if err := variant.DecodeAndMergeWith(payload); err != nil {
-					t.Fatalf("DecodeAndMergeWith: %v", err)
+				if err := decodeInto(variant, payload); err != nil {
+					t.Fatalf("decode and merge: %v", err)
 				}
 				if got, want := variant.Count(), source.Count(); exact.RelativeError(got, want) > tolerance {
 					t.Errorf("count = %v, want %v", got, want)
 				}
-				gotSum, err := variant.Sum()
+				merged := variant.Snapshot()
+				gotSum, err := merged.Sum()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,7 +84,7 @@ func TestConformanceCrossCodec(t *testing.T) {
 					t.Errorf("sum = %v, want %v (±%g)", gotSum, wantSum, tolerance*sumScale)
 				}
 				for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
-					got, err := variant.Quantile(q)
+					got, err := merged.Quantile(q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -100,8 +101,8 @@ func TestConformanceCrossCodec(t *testing.T) {
 				}
 				// A second merge of the same payload must double the count:
 				// decoded payloads merge like any other sketch.
-				if err := variant.DecodeAndMergeWith(payload); err != nil {
-					t.Fatalf("second DecodeAndMergeWith: %v", err)
+				if err := decodeInto(variant, payload); err != nil {
+					t.Fatalf("second decode and merge: %v", err)
 				}
 				if got, want := variant.Count(), 2*source.Count(); exact.RelativeError(got, want) > tolerance {
 					t.Errorf("count after second merge = %v, want %v", got, want)
@@ -111,16 +112,16 @@ func TestConformanceCrossCodec(t *testing.T) {
 	}
 }
 
-// TestConformanceCrossCodecEncodeAs: every variant's EncodeAs emits a
-// payload equal to its snapshot's, for every codec — the variants add
-// concurrency/retention, never bytes.
+// TestConformanceCrossCodecEncodeAs: every variant's snapshot encodes to
+// the same bytes however often it is taken, for every codec — the
+// variants add concurrency/retention, never bytes.
 func TestConformanceCrossCodecEncodeAs(t *testing.T) {
 	values := datagen.ByName("lognormal", 5_000)
 	for _, codec := range ddsketch.Codecs() {
 		for name, variant := range conformanceVariantsWith(t) {
 			t.Run(codec.Name()+"/"+name, func(t *testing.T) {
 				fillAll(t, variant, values)
-				payload, err := variant.EncodeAs(codec.Name())
+				payload, err := variant.Snapshot().EncodeAs(codec.Name())
 				if err != nil {
 					t.Fatalf("EncodeAs(%s): %v", codec.Name(), err)
 				}
@@ -129,7 +130,7 @@ func TestConformanceCrossCodecEncodeAs(t *testing.T) {
 					t.Fatal(err)
 				}
 				if string(payload) != string(want) {
-					t.Error("variant EncodeAs differs from snapshot EncodeAs")
+					t.Error("two snapshots of an unchanged variant encode differently")
 				}
 				decoded, err := ddsketch.Decode(payload)
 				if err != nil {
@@ -198,8 +199,8 @@ func TestConformanceCrossCodecUniformCollapse(t *testing.T) {
 	for name, variant := range conformanceVariantsWith(t,
 		ddsketch.WithUniformCollapse(maxBins)) {
 		t.Run("lineage-lost/"+name, func(t *testing.T) {
-			if err := variant.DecodeAndMergeWith(payload); !errors.Is(err, ddsketch.ErrIncompatibleSketches) {
-				t.Errorf("DecodeAndMergeWith into uniform aggregate = %v, want ErrIncompatibleSketches", err)
+			if err := decodeInto(variant, payload); !errors.Is(err, ddsketch.ErrIncompatibleSketches) {
+				t.Errorf("decode and merge into uniform aggregate = %v, want ErrIncompatibleSketches", err)
 			}
 		})
 	}
@@ -211,14 +212,15 @@ func TestConformanceCrossCodecUniformCollapse(t *testing.T) {
 		return []ddsketch.Option{ddsketch.WithRelativeAccuracy(alphaPrime)}
 	}) {
 		t.Run("flattened/"+name, func(t *testing.T) {
-			if err := variant.DecodeAndMergeWith(payload); err != nil {
-				t.Fatalf("DecodeAndMergeWith: %v", err)
+			if err := decodeInto(variant, payload); err != nil {
+				t.Fatalf("decode and merge: %v", err)
 			}
 			if got, want := variant.Count(), source.Count(); exact.RelativeError(got, want) > 1e-12 {
 				t.Errorf("count = %v, want %v", got, want)
 			}
+			merged := variant.Snapshot()
 			for _, q := range []float64{0.05, 0.5, 0.95} {
-				got, err := variant.Quantile(q)
+				got, err := merged.Quantile(q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -83,7 +83,7 @@ func TestConformanceMappingAccuracy(t *testing.T) {
 			t.Fatalf("Count = %g, want %d", got, confN)
 		}
 		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1} {
-			est, err := s.Quantile(q)
+			est, err := s.Snapshot().Quantile(q)
 			if err != nil {
 				t.Fatalf("Quantile(%g): %v", q, err)
 			}
@@ -119,8 +119,8 @@ func TestConformanceMappingMergeEquivalence(t *testing.T) {
 
 				wire := conformanceMappingVariants(t, mappingName, ddsketch.WithMaxBins(confMaxBins))[variant]
 				fillAll(t, wire, values[:confN/2])
-				if err := wire.DecodeAndMergeWith(half.Encode()); err != nil {
-					t.Fatalf("DecodeAndMergeWith: %v", err)
+				if err := decodeInto(wire, half.Encode()); err != nil {
+					t.Fatalf("decode and merge: %v", err)
 				}
 				assertQuantilesEqual(t, wire, qs, want, "decode-merged")
 			})
@@ -134,16 +134,16 @@ func TestConformanceMappingClear(t *testing.T) {
 	forEachMappingVariant(t, func(t *testing.T, mappingName, variant string, s ddsketch.Sketch) {
 		fillAll(t, s, confValues()[:1000])
 		s.Clear()
-		if !s.IsEmpty() || s.Count() != 0 {
-			t.Fatalf("after Clear: IsEmpty = %v, Count = %g", s.IsEmpty(), s.Count())
+		if s.Count() != 0 {
+			t.Fatalf("after Clear: Count = %g", s.Count())
 		}
-		if _, err := s.Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
+		if _, err := s.Snapshot().Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
 			t.Errorf("Quantile after Clear: err = %v, want ErrEmptySketch", err)
 		}
 		if err := s.Add(7); err != nil {
 			t.Fatal(err)
 		}
-		est, err := s.Quantile(0.5)
+		est, err := s.Snapshot().Quantile(0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,11 +159,11 @@ func TestConformanceMappingRoundTrip(t *testing.T) {
 	values := confValues()
 	forEachMappingVariant(t, func(t *testing.T, mappingName, variant string, s ddsketch.Sketch) {
 		fillAll(t, s, values)
-		decoded, err := ddsketch.Decode(s.Encode())
+		snap := s.Snapshot()
+		decoded, err := ddsketch.Decode(snap.Encode())
 		if err != nil {
 			t.Fatalf("Decode: %v", err)
 		}
-		snap := s.Snapshot()
 		assertBinIdentical(t, decoded, snap)
 		if got, want := decoded.Count(), snap.Count(); got != want {
 			t.Errorf("decoded Count = %g, want %g", got, want)
@@ -280,7 +280,7 @@ func mappingSketchOf(t *testing.T, mappingName string, values []float64) *ddsket
 // assertQuantilesEqual fails unless s answers qs exactly as want.
 func assertQuantilesEqual(t *testing.T, s ddsketch.Sketch, qs, want []float64, label string) {
 	t.Helper()
-	got, err := s.Quantiles(qs)
+	got, err := s.Snapshot().Quantiles(qs)
 	if err != nil {
 		t.Fatal(err)
 	}

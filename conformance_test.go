@@ -111,7 +111,7 @@ func TestConformanceAccuracy(t *testing.T) {
 				t.Fatalf("Count = %g, want %d", got, confN)
 			}
 			for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1} {
-				est, err := s.Quantile(q)
+				est, err := s.Snapshot().Quantile(q)
 				if err != nil {
 					t.Fatalf("Quantile(%g): %v", q, err)
 				}
@@ -143,7 +143,8 @@ func TestConformanceMergeEquivalence(t *testing.T) {
 			if err := s.MergeWith(half); err != nil {
 				t.Fatalf("MergeWith: %v", err)
 			}
-			got, err := s.Quantiles(qs)
+			merged := s.Snapshot()
+			got, err := merged.Quantiles(qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +153,7 @@ func TestConformanceMergeEquivalence(t *testing.T) {
 					t.Errorf("q=%g: merged %g != single-sketch %g", q, got[i], want[i])
 				}
 			}
-			sum, err := s.Sum()
+			sum, err := merged.Sum()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,10 +165,10 @@ func TestConformanceMergeEquivalence(t *testing.T) {
 			// Same equivalence through the wire format.
 			wire := conformanceVariants(t)[name]
 			fillAll(t, wire, values[:confN/2])
-			if err := wire.DecodeAndMergeWith(half.Encode()); err != nil {
-				t.Fatalf("DecodeAndMergeWith: %v", err)
+			if err := decodeInto(wire, half.Encode()); err != nil {
+				t.Fatalf("decode and merge: %v", err)
 			}
-			got, err = wire.Quantiles(qs)
+			got, err = wire.Snapshot().Quantiles(qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,6 +179,16 @@ func TestConformanceMergeEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// decodeInto decodes a payload and folds it into s, the way an
+// aggregator ingests an agent's encoded sketch.
+func decodeInto(s ddsketch.Sketch, data []byte) error {
+	other, err := ddsketch.Decode(data)
+	if err != nil {
+		return err
+	}
+	return s.MergeWith(other)
 }
 
 func ddsketchOf(t *testing.T, values []float64) *ddsketch.DDSketch {
@@ -268,13 +279,14 @@ func TestConformanceAddBatch(t *testing.T) {
 				lo = hi
 			}
 
-			assertBinIdentical(t, batched.Snapshot(), perValue.Snapshot())
+			bs, ps := batched.Snapshot(), perValue.Snapshot()
+			assertBinIdentical(t, bs, ps)
 			if got, want := batched.Count(), perValue.Count(); got != want {
 				t.Errorf("Count = %g, want %g", got, want)
 			}
 			for stat, pair := range map[string][2]func() (float64, error){
-				"Min": {batched.Min, perValue.Min},
-				"Max": {batched.Max, perValue.Max},
+				"Min": {bs.Min, ps.Min},
+				"Max": {bs.Max, ps.Max},
 			} {
 				if got, want := mustQuery(t, pair[0]), mustQuery(t, pair[1]); got != want {
 					t.Errorf("%s = %g, want %g", stat, got, want)
@@ -283,7 +295,7 @@ func TestConformanceAddBatch(t *testing.T) {
 			// Sum accumulation order differs across shards, so exact
 			// float equality is only guaranteed for the unsharded
 			// variants; everywhere it agrees to rounding error.
-			got, want := mustQuery(t, batched.Sum), mustQuery(t, perValue.Sum)
+			got, want := mustQuery(t, bs.Sum), mustQuery(t, ps.Sum)
 			if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-9 {
 				t.Errorf("Sum = %g, want %g (rel %g)", got, want, rel)
 			}
@@ -494,17 +506,15 @@ func TestConformanceClearSemantics(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fillAll(t, s, confValues()[:1000])
 			s.Clear()
-			if !s.IsEmpty() {
-				t.Fatal("IsEmpty after Clear = false")
-			}
 			if got := s.Count(); got != 0 {
 				t.Fatalf("Count after Clear = %g", got)
 			}
-			if _, err := s.Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
+			snap := s.Snapshot()
+			if _, err := snap.Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
 				t.Errorf("Quantile after Clear: err = %v, want ErrEmptySketch", err)
 			}
 			for fn, query := range map[string]func() (float64, error){
-				"Sum": s.Sum, "Min": s.Min, "Max": s.Max, "Avg": s.Avg,
+				"Sum": snap.Sum, "Min": snap.Min, "Max": snap.Max, "Avg": snap.Avg,
 			} {
 				if _, err := query(); !errors.Is(err, ddsketch.ErrEmptySketch) {
 					t.Errorf("%s after Clear: err = %v, want ErrEmptySketch", fn, err)
@@ -521,7 +531,7 @@ func TestConformanceClearSemantics(t *testing.T) {
 			if got := s.Count(); got != 1 {
 				t.Fatalf("Count after re-Add = %g, want 1", got)
 			}
-			est, err := s.Quantile(0.5)
+			est, err := s.Snapshot().Quantile(0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -532,22 +542,23 @@ func TestConformanceClearSemantics(t *testing.T) {
 	}
 }
 
-// TestConformanceEncodeDecodeRoundTrip: Encode on any variant yields a
-// payload Decode reconstructs losslessly.
+// TestConformanceEncodeDecodeRoundTrip: encoding any variant's snapshot
+// yields a payload Decode reconstructs losslessly.
 func TestConformanceEncodeDecodeRoundTrip(t *testing.T) {
 	values := confValues()
 	qs := []float64{0, 0.25, 0.5, 0.95, 1}
 	for name, s := range conformanceVariants(t) {
 		t.Run(name, func(t *testing.T) {
 			fillAll(t, s, values)
-			decoded, err := ddsketch.Decode(s.Encode())
+			decoded, err := ddsketch.Decode(s.Snapshot().Encode())
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
 			if got, want := decoded.Count(), s.Count(); got != want {
 				t.Errorf("decoded Count = %g, want %g", got, want)
 			}
-			want, err := s.Quantiles(qs)
+			original := s.Snapshot()
+			want, err := original.Quantiles(qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -561,9 +572,9 @@ func TestConformanceEncodeDecodeRoundTrip(t *testing.T) {
 				}
 			}
 			for fn, pair := range map[string][2]func() (float64, error){
-				"Sum": {decoded.Sum, s.Sum},
-				"Min": {decoded.Min, s.Min},
-				"Max": {decoded.Max, s.Max},
+				"Sum": {decoded.Sum, original.Sum},
+				"Min": {decoded.Min, original.Min},
+				"Max": {decoded.Max, original.Max},
 			} {
 				got, err := pair[0]()
 				if err != nil {
@@ -582,8 +593,9 @@ func TestConformanceEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestConformanceQuantilesMatchQuantile is the property test: for every
-// variant, Quantiles(qs) equals elementwise what per-q Quantile(q)
-// calls return against the same (static) data.
+// variant, Quantiles(qs) on one snapshot equals elementwise what per-q
+// Quantile(q) calls on fresh snapshots return against the same (static)
+// data.
 func TestConformanceQuantilesMatchQuantile(t *testing.T) {
 	values := confValues()
 	qs := make([]float64, 0, 101)
@@ -593,12 +605,12 @@ func TestConformanceQuantilesMatchQuantile(t *testing.T) {
 	for name, s := range conformanceVariants(t) {
 		t.Run(name, func(t *testing.T) {
 			fillAll(t, s, values)
-			batch, err := s.Quantiles(qs)
+			batch, err := s.Snapshot().Quantiles(qs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, q := range qs {
-				single, err := s.Quantile(q)
+				single, err := s.Snapshot().Quantile(q)
 				if err != nil {
 					t.Fatalf("Quantile(%g): %v", q, err)
 				}
@@ -608,7 +620,7 @@ func TestConformanceQuantilesMatchQuantile(t *testing.T) {
 			}
 
 			// Error cases agree with Quantile's.
-			if _, err := s.Quantiles([]float64{0.5, 1.5}); err == nil {
+			if _, err := s.Snapshot().Quantiles([]float64{0.5, 1.5}); err == nil {
 				t.Error("Quantiles with out-of-range q: no error")
 			}
 		})
@@ -616,7 +628,8 @@ func TestConformanceQuantilesMatchQuantile(t *testing.T) {
 }
 
 // TestConformanceSummaryMatchesIndividualReads: the one-pass Summary
-// reports exactly what the N independent query calls report.
+// reports exactly what N independent reads, each off its own snapshot,
+// report.
 func TestConformanceSummaryMatchesIndividualReads(t *testing.T) {
 	values := confValues()
 	qs := []float64{0.5, 0.9, 0.99}
@@ -629,10 +642,10 @@ func TestConformanceSummaryMatchesIndividualReads(t *testing.T) {
 			}
 			for fn, pair := range map[string][2]float64{
 				"Count": {summary.Count, s.Count()},
-				"Sum":   {summary.Sum, mustQuery(t, s.Sum)},
-				"Min":   {summary.Min, mustQuery(t, s.Min)},
-				"Max":   {summary.Max, mustQuery(t, s.Max)},
-				"Avg":   {summary.Avg, mustQuery(t, s.Avg)},
+				"Sum":   {summary.Sum, mustQuery(t, s.Snapshot().Sum)},
+				"Min":   {summary.Min, mustQuery(t, s.Snapshot().Min)},
+				"Max":   {summary.Max, mustQuery(t, s.Snapshot().Max)},
+				"Avg":   {summary.Avg, mustQuery(t, s.Snapshot().Avg)},
 			} {
 				if pair[0] != pair[1] {
 					t.Errorf("Summary.%s = %g, individual read = %g", fn, pair[0], pair[1])
@@ -645,7 +658,7 @@ func TestConformanceSummaryMatchesIndividualReads(t *testing.T) {
 				if qv.Q != qs[i] {
 					t.Errorf("quantile %d: Q = %g, want %g", i, qv.Q, qs[i])
 				}
-				single, err := s.Quantile(qs[i])
+				single, err := s.Snapshot().Quantile(qs[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -808,20 +821,21 @@ func TestConformanceUniformMergeMixedEpochs(t *testing.T) {
 			if err := s.MergeWith(fine); err != nil {
 				t.Fatalf("MergeWith(fine): %v", err)
 			}
-			if err := s.DecodeAndMergeWith(coarse.Encode()); err != nil {
-				t.Fatalf("DecodeAndMergeWith(coarse): %v", err)
+			if err := decodeInto(s, coarse.Encode()); err != nil {
+				t.Fatalf("decode and merge (coarse): %v", err)
 			}
 			if got := s.Count(); got != confN {
 				t.Fatalf("Count = %g, want %d (merge must preserve weight)", got, confN)
 			}
-			sum, err := s.Sum()
+			snap := s.Snapshot()
+			sum, err := snap.Sum()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rel := math.Abs(sum-(fineSum+coarseSum)) / math.Abs(fineSum+coarseSum); rel > 1e-9 {
 				t.Errorf("Sum = %g, want %g", sum, fineSum+coarseSum)
 			}
-			assertUniformInvariants(t, s.Snapshot(), sorted)
+			assertUniformInvariants(t, snap, sorted)
 
 			// The merge arguments are untouched.
 			if fine.CollapseEpoch() != 0 {
@@ -845,10 +859,10 @@ func TestConformanceUniformClear(t *testing.T) {
 				t.Fatal("sketch never collapsed")
 			}
 			s.Clear()
-			if !s.IsEmpty() {
-				t.Fatal("IsEmpty after Clear = false")
+			if s.Count() > 0 {
+				t.Fatal("sketch not empty after Clear")
 			}
-			if _, err := s.Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
+			if _, err := s.Snapshot().Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
 				t.Errorf("Quantile after Clear: err = %v, want ErrEmptySketch", err)
 			}
 			if err := s.Add(7); err != nil {
@@ -861,7 +875,7 @@ func TestConformanceUniformClear(t *testing.T) {
 			if got := snap.RelativeAccuracy(); got != confAlpha {
 				t.Errorf("α after Clear = %v, want %v", got, confAlpha)
 			}
-			est, err := s.Quantile(0.5)
+			est, err := snap.Quantile(0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -872,7 +886,7 @@ func TestConformanceUniformClear(t *testing.T) {
 	}
 }
 
-// TestConformanceUniformRoundTrip: Encode carries the collapse epoch,
+// TestConformanceUniformRoundTrip: the encoding carries the collapse epoch,
 // so a decoded sketch answers identically, reports the same α'/epoch,
 // and keeps collapsing at the same budget.
 func TestConformanceUniformRoundTrip(t *testing.T) {
@@ -882,7 +896,7 @@ func TestConformanceUniformRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fillAll(t, s, values)
 			snap := s.Snapshot()
-			decoded, err := ddsketch.Decode(s.Encode())
+			decoded, err := ddsketch.Decode(snap.Encode())
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
@@ -1076,8 +1090,8 @@ func countingPrototype(t *testing.T, merges *int) *ddsketch.DDSketch {
 // TestShardedSummarySingleMergePass is the merge-count probe: a Summary
 // read on a Sharded sketch merges each shard exactly once (two store
 // merges per shard: positive and negative), however many statistics it
-// returns, while the same reads as independent queries re-merge for
-// every quantile.
+// returns, while reading each quantile off its own snapshot re-merges
+// for every quantile.
 func TestShardedSummarySingleMergePass(t *testing.T) {
 	merges := 0
 	s := ddsketch.NewSharded(countingPrototype(t, &merges), 8)
@@ -1094,25 +1108,21 @@ func TestShardedSummarySingleMergePass(t *testing.T) {
 
 	merges = 0
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if _, err := s.Quantile(q); err != nil {
+		if _, err := s.Snapshot().Quantile(q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Sum/Min/Max/Avg/Count read shard counters without merging.
-	for _, query := range []func() (float64, error){s.Sum, s.Min, s.Max, s.Avg} {
-		if _, err := query(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Count reads shard counters without merging.
+	_ = s.Count()
 	if merges != 3*perPass {
 		t.Errorf("naive per-query reads: %d store merges, want %d (one pass per quantile)",
 			merges, 3*perPass)
 	}
 }
 
-// TestTimeWindowedSummarySingleMergePass: Summary and TrailingQuantiles
-// merge the ring once per call; per-q TrailingQuantile calls merge it
-// once per quantile.
+// TestTimeWindowedSummarySingleMergePass: Summary and Trailing merge the
+// ring once per call; reading each quantile off its own Trailing copy
+// merges it once per quantile.
 func TestTimeWindowedSummarySingleMergePass(t *testing.T) {
 	merges := 0
 	clock := newFakeClock()
@@ -1140,35 +1150,35 @@ func TestTimeWindowedSummarySingleMergePass(t *testing.T) {
 	}
 
 	merges = 0
-	if _, err := w.TrailingQuantiles([]float64{0.5, 0.95, 0.99}, 2); err != nil {
+	if _, err := w.Trailing(2).Quantiles([]float64{0.5, 0.95, 0.99}); err != nil {
 		t.Fatal(err)
 	}
 	if want := perSlot * 2; merges != want {
-		t.Errorf("TrailingQuantiles over 2 windows: %d store merges, want %d", merges, want)
+		t.Errorf("Trailing(2).Quantiles: %d store merges, want %d", merges, want)
 	}
 
 	merges = 0
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if _, err := w.TrailingQuantile(q, 2); err != nil {
+		if _, err := w.Trailing(2).Quantile(q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if want := 3 * perSlot * 2; merges != want {
-		t.Errorf("per-q TrailingQuantile ×3: %d store merges, want %d", merges, want)
+		t.Errorf("per-q Trailing(2).Quantile ×3: %d store merges, want %d", merges, want)
 	}
 
 	// The one-pass reads agree with the per-q reads, merge counting aside.
-	batch, err := w.TrailingQuantiles([]float64{0.5, 0.95, 0.99}, 2)
+	batch, err := w.Trailing(2).Quantiles([]float64{0.5, 0.95, 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range []float64{0.5, 0.95, 0.99} {
-		single, err := w.TrailingQuantile(q, 2)
+		single, err := w.Trailing(2).Quantile(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if batch[i] != single {
-			t.Errorf("q=%g: TrailingQuantiles %g != TrailingQuantile %g", q, batch[i], single)
+			t.Errorf("q=%g: Quantiles %g != Quantile %g", q, batch[i], single)
 		}
 	}
 }

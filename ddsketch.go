@@ -33,12 +33,12 @@
 //	for _, latency := range latencies {
 //		if err := sketch.Add(latency); err != nil { ... }
 //	}
-//	p99, err := sketch.Quantile(0.99)
 //	summary, err := sketch.Summary(0.5, 0.99) // count/sum/min/max/avg + quantiles, one pass
+//	p99, err := sketch.Snapshot().Quantile(0.99)
 //
 // The sub-packages mapping and store expose the building blocks for
-// custom configurations (faster mappings, sparse stores, …), plugged in
-// via WithMapping and WithStores (or NewWithConfig).
+// custom configurations (faster mappings, other store bounds, …),
+// plugged in via WithMapping and WithStores (or NewWithConfig).
 //
 // On top of the plain sketch, the package provides the concurrency and
 // aggregation layers of a production pipeline, all behind the same
@@ -181,15 +181,6 @@ func NewFast(relativeAccuracy float64, maxBins int) (*DDSketch, error) {
 		return nil, err
 	}
 	return newBase(WithMapping(m), WithMaxBins(maxBins))
-}
-
-// NewSparse returns an unbounded sketch whose memory is proportional to
-// the number of non-empty buckets, trading insertion speed for space
-// (§2.2's sparse implementation).
-func NewSparse(relativeAccuracy float64) (*DDSketch, error) {
-	return newBase(
-		WithRelativeAccuracy(relativeAccuracy),
-		WithStores(store.SparseStoreProvider(), store.SparseStoreProvider()))
 }
 
 // NewWithConfig assembles a sketch from an index mapping and store

@@ -220,7 +220,7 @@ func TestChangeMappingErrors(t *testing.T) {
 func TestChangeMappingEmptySketch(t *testing.T) {
 	s, _ := New(0.01)
 	newMapping, _ := mapping.NewCubicallyInterpolated(0.05)
-	out, err := s.ChangeMapping(newMapping, store.SparseStoreProvider(), store.SparseStoreProvider(), 2)
+	out, err := s.ChangeMapping(newMapping, store.DenseStoreProvider(), store.DenseStoreProvider(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,12 @@ var sketchCases = []sketchCase{
 	{"collapsing", func() (*DDSketch, error) { return NewCollapsing(testAlpha, 2048) }},
 	{"collapsingHighest", func() (*DDSketch, error) { return NewCollapsingHighest(testAlpha, 2048) }},
 	{"fast", func() (*DDSketch, error) { return NewFast(testAlpha, 4096) }},
-	{"sparse", func() (*DDSketch, error) { return NewSparse(testAlpha) }},
-	{"paginated", func() (*DDSketch, error) {
+	{"cubic", func() (*DDSketch, error) {
 		m, err := mapping.NewCubicallyInterpolated(testAlpha)
 		if err != nil {
 			return nil, err
 		}
-		return NewWithConfig(m, store.BufferedPaginatedProvider(), store.BufferedPaginatedProvider()), nil
+		return NewWithConfig(m, store.DenseStoreProvider(), store.DenseStoreProvider()), nil
 	}},
 }
 
@@ -88,9 +87,6 @@ func TestConstructorValidation(t *testing.T) {
 		}
 		if _, err := NewFast(alpha, 100); err == nil {
 			t.Errorf("NewFast(%g): want error", alpha)
-		}
-		if _, err := NewSparse(alpha); err == nil {
-			t.Errorf("NewSparse(%g): want error", alpha)
 		}
 		if _, err := NewCollapsingHighest(alpha, 100); err == nil {
 			t.Errorf("NewCollapsingHighest(%g): want error", alpha)

@@ -62,13 +62,13 @@ func ExampleDDSketch_Encode() {
 }
 
 func ExampleNewWithConfig() {
-	// A custom configuration: the near-optimal cubic mapping with sparse
-	// stores for very scattered data.
+	// A custom configuration: the near-optimal cubic mapping with
+	// unbounded dense stores.
 	m, err := mapping.NewCubicallyInterpolated(0.02)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sketch := ddsketch.NewWithConfig(m, store.SparseStoreProvider(), store.SparseStoreProvider())
+	sketch := ddsketch.NewWithConfig(m, store.DenseStoreProvider(), store.DenseStoreProvider())
 	_ = sketch.Add(1e-9)
 	_ = sketch.Add(1e9)
 	fmt.Println(sketch.Count())
@@ -106,7 +106,7 @@ func ExampleSharded() {
 	}
 	wg.Wait()
 
-	median, _ := sharded.Quantile(0.5)
+	median, _ := sharded.Snapshot().Quantile(0.5)
 	fmt.Println(sharded.Count())
 	fmt.Println(median > 495 && median < 505)
 	// Output:
@@ -128,14 +128,14 @@ func ExampleTimeWindowed() {
 	now = now.Add(time.Minute)
 	_ = w.AddWithCount(1000, 100) // second minute: hundred 1000s
 
-	overall, _ := w.Quantile(0.5)               // across both intervals
-	lastMinute, _ := w.TrailingQuantile(0.5, 1) // current interval only
+	overall, _ := w.Snapshot().Quantile(0.5)     // across both intervals
+	lastMinute, _ := w.Trailing(1).Quantile(0.5) // current interval only
 	fmt.Println(overall >= 9.9 && overall <= 10.1)
 	fmt.Println(lastMinute >= 990 && lastMinute <= 1010)
 
 	// Four minutes of silence: everything rotates out of the ring.
 	now = now.Add(4 * time.Minute)
-	fmt.Println(w.IsEmpty())
+	fmt.Println(w.Count() <= 0)
 	// Output:
 	// true
 	// true

@@ -125,9 +125,10 @@ func main() {
 	}
 
 	// The Figure 2 observation, quantified over the whole run.
-	mean, _ := rollup.Avg()
-	p50, _ := rollup.Quantile(0.5)
-	p75, _ := rollup.Quantile(0.75)
+	final := rollup.Snapshot()
+	mean, _ := final.Avg()
+	p50, _ := final.Quantile(0.5)
+	p75, _ := final.Quantile(0.75)
 	fmt.Printf("\noverall: mean=%.4fs is %.1fx the median (p50=%.4fs) and %.2fx p75=%.4fs\n",
 		mean, mean/p50, p50, mean/p75, p75)
 	fmt.Println("=> the average tracks p75, not the median: outliers dominate it (paper Fig. 2)")
@@ -140,7 +141,7 @@ func main() {
 	fmt.Println("quantile   exact      sketch     rel.err")
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		exactV := exactAll[int(q*float64(len(exactAll)-1))]
-		est, err := rollup.Quantile(q)
+		est, err := final.Quantile(q)
 		if err != nil {
 			log.Fatal(err)
 		}

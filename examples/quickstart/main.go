@@ -60,7 +60,7 @@ func main() {
 	dd := sketch.(*ddsketch.DDSketch)
 
 	// Sketches serialize compactly...
-	data := sketch.Encode()
+	data := dd.Encode()
 	fmt.Printf("serialized size: %d bytes for %.0f values (%d buckets)\n",
 		len(data), summary.Count, dd.NumBins())
 

@@ -28,7 +28,7 @@ func FuzzDecode(f *testing.F) {
 		func() (*ddsketch.DDSketch, error) { return ddsketch.NewCollapsing(0.01, 512) },
 		func() (*ddsketch.DDSketch, error) { return ddsketch.NewCollapsingHighest(0.02, 256) },
 		func() (*ddsketch.DDSketch, error) { return ddsketch.NewFast(0.01, 512) },
-		func() (*ddsketch.DDSketch, error) { return ddsketch.NewSparse(0.05) },
+		func() (*ddsketch.DDSketch, error) { return ddsketch.New(0.05) },
 		func() (*ddsketch.DDSketch, error) {
 			// A collapsed uniform sketch: exercises the version-2 format
 			// (bin budget + epoch + base-mapping re-derivation).
@@ -43,8 +43,7 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				return nil, err
 			}
-			return ddsketch.NewWithConfig(m,
-				store.BufferedPaginatedProvider(), store.BufferedPaginatedProvider()), nil
+			return ddsketch.NewWithConfig(m, store.DenseStoreProvider(), store.DenseStoreProvider()), nil
 		},
 	}
 	for _, newSketch := range seeds {
@@ -67,6 +66,23 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte("DDS"))             // magic only
 	f.Add([]byte{'D', 'D', 'S', 99}) // unsupported version
+
+	// The retired sparse (4) and buffered-paginated (5) store tags on
+	// each store of a hand-built native payload (TestDecodeRetiredStoreTags
+	// builds the same bytes): decode-only tags, read into dense stores.
+	legacy := []byte{
+		0x44, 0x44, 0x53, 0x01, // magic, version 1
+		0x01, 0xfc, 0xc3, 0xf8, 0xba, 0xa8, 0xbc, 0x9d, 0x94, 0xde, // logarithmic mapping, α = 0.01
+		0x00, 0x83, 0x20, 0x82, 0x10, 0xfc, 0x1f, // zeroCount 0, min −3, max 4, sum 1
+		0x01, 0x03, 0x00, 0xfc, 0x1f, 0x46, 0xfc, 0x1f, 0x46, 0xfc, 0x1f, // positive store: tag, bins 0, 35, 70
+		0x01, 0x01, 0x6e, 0x02, // negative store: tag, bin 55 with count 2
+	}
+	const positiveTagAt, negativeTagAt = 21, 32
+	for _, tags := range [][2]byte{{4, 1}, {1, 4}, {5, 1}, {1, 5}} {
+		payload := append([]byte(nil), legacy...)
+		payload[positiveTagAt], payload[negativeTagAt] = tags[0], tags[1]
+		f.Add(payload)
+	}
 
 	// DataDog-grammar seeds: valid proto3 payloads from the second
 	// codec, their truncations and corruptions, and hand-built hostile

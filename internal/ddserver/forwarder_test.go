@@ -548,10 +548,13 @@ func TestLeafRootFlappingDurability(t *testing.T) {
 		return fs.SpoolDepth == 3 && fs.Retries >= 1
 	})
 
-	// Root returns: the spool drains oldest-first, nothing lost.
+	// Root returns: the spool drains oldest-first, nothing lost. The
+	// root merges a POST before the leaf reads its response, so wait for
+	// the leaf's side too before reading its counters.
 	p.reviveRoot(t)
 	waitFor(t, 10*time.Second, "root to converge after restart", func() bool {
-		return p.root.Aggregate().Count() == total
+		fs, _ := p.leaf.ForwardStats()
+		return p.root.Aggregate().Count() == total && fs.SpoolDepth == 0
 	})
 	fs, _ := p.leaf.ForwardStats()
 	if fs.Shed != 0 || fs.ShedWeight != 0 {

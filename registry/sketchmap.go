@@ -18,13 +18,13 @@ var ErrInvalidKey = errors.New("registry: zero label set is not a valid series k
 
 // entryOverhead is the estimated fixed per-series bookkeeping cost in
 // bytes beyond the sketch itself: the entry struct, its list element,
-// and a map bucket share. SizeBytes adds it (plus the key length) per
-// live series so the reported footprint tracks cardinality, not just
-// bucket counts.
+// and a map bucket share. Stats.SizeBytes adds it (plus the key
+// length) per live series so the reported footprint tracks
+// cardinality, not just bucket counts.
 const entryOverhead = 160
 
 // Inverted-index accounting: the estimated per-posting-key and
-// per-reference costs SizeBytes charges for the label index (map
+// per-reference costs Stats.SizeBytes charges for the label index (map
 // headers, bucket shares, and the pointer per referenced series).
 const (
 	postingOverhead    = 48
@@ -88,7 +88,7 @@ func (e *entry) catchUp(gen uint64) {
 // interval (callers catch the ring up first).
 func (e *entry) isEmpty() bool {
 	if e.ring == nil {
-		return e.sk.IsEmpty()
+		return e.sk.Count() <= 0
 	}
 	for _, s := range e.ring {
 		if s != nil && !s.IsEmpty() {
@@ -687,7 +687,7 @@ func (m *SketchMap) Overflow() (*ddsketch.DDSketch, error) {
 	var acc *ddsketch.DDSketch
 	for _, seg := range m.segs {
 		seg.mu.Lock()
-		if !seg.overflow.IsEmpty() {
+		if seg.overflow.Count() > 0 {
 			snap := seg.overflow.Snapshot()
 			if acc == nil {
 				acc = snap
@@ -753,7 +753,7 @@ func (m *SketchMap) rollUp(f Filter, window int, useIndex bool) (*ddsketch.DDSke
 	}
 	for _, seg := range m.segs {
 		seg.mu.Lock()
-		if f.MatchesAll() && !seg.overflow.IsEmpty() {
+		if f.MatchesAll() && seg.overflow.Count() > 0 {
 			if plain, ok := seg.overflow.(*ddsketch.DDSketch); ok {
 				if err := merge(plain); err != nil {
 					seg.mu.Unlock()
@@ -891,21 +891,6 @@ func indexSizeBytesLocked(seg *segment) int {
 	}
 	for k, refs := range seg.present {
 		total += len(k) + postingOverhead + postingRefOverhead*len(refs)
-	}
-	return total
-}
-
-// SizeBytes estimates the registry's total in-memory footprint in
-// bytes, summed over segments. See Stats.SizeBytes.
-func (m *SketchMap) SizeBytes() int {
-	total := 0
-	for _, seg := range m.segs {
-		seg.mu.Lock()
-		total += seg.cm.sizeBytes() + sketchSizeBytes(seg.overflow) + indexSizeBytesLocked(seg)
-		for key, e := range seg.entries {
-			total += entrySizeBytesLocked(key, e)
-		}
-		seg.mu.Unlock()
 	}
 	return total
 }

@@ -193,16 +193,6 @@ func (s *Sharded) MergeWith(other *DDSketch) error {
 	return err
 }
 
-// DecodeAndMergeWith decodes a serialized sketch and merges it into one
-// of the shards. Decoding happens outside any lock.
-func (s *Sharded) DecodeAndMergeWith(data []byte) error {
-	other, err := Decode(data)
-	if err != nil {
-		return err
-	}
-	return s.MergeWith(other)
-}
-
 // Snapshot returns a merged deep copy of all shards. Each shard is
 // copied under its own lock, so the result contains every write that
 // completed before the call and is internally consistent per shard; it
@@ -239,32 +229,11 @@ func (s *Sharded) Flush() *DDSketch {
 	return merged
 }
 
-// Quantile returns an α-accurate estimate of the q-quantile across all
-// shards, merging on read. Each call pays for one full shard merge;
-// when reading several statistics at once, use Quantiles or Summary,
-// which merge once for the whole call.
-func (s *Sharded) Quantile(q float64) (float64, error) {
-	return s.Snapshot().Quantile(q)
-}
-
-// Quantiles returns α-accurate estimates for each of the given
-// quantiles, all computed against the same merged snapshot — one shard
-// merge for the whole call, however many quantiles are asked for.
-func (s *Sharded) Quantiles(qs []float64) ([]float64, error) {
-	return s.Snapshot().Quantiles(qs)
-}
-
 // Summary returns count, sum, min, max, avg, and the requested
-// quantiles in exactly one merge pass over the shards, where the same
-// reads as independent query calls would each re-merge.
+// quantiles in exactly one merge pass over the shards, where reading
+// each statistic off its own Snapshot would re-merge every time.
 func (s *Sharded) Summary(qs ...float64) (Summary, error) {
 	return s.Snapshot().summarize(qs)
-}
-
-// CDF returns an estimate of the fraction of inserted values that are
-// less than or equal to value, merging on read.
-func (s *Sharded) CDF(value float64) (float64, error) {
-	return s.Snapshot().CDF(value)
 }
 
 // Count returns the total weight across all shards.
@@ -279,77 +248,6 @@ func (s *Sharded) Count() float64 {
 	return total
 }
 
-// IsEmpty reports whether no shard holds any values.
-func (s *Sharded) IsEmpty() bool { return s.Count() <= 0 }
-
-// Sum returns the exact sum of all inserted values.
-func (s *Sharded) Sum() (float64, error) {
-	sum, count := 0.0, 0.0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		count += sh.sketch.Count()
-		sum += sh.sketch.sum
-		sh.mu.Unlock()
-	}
-	if count <= 0 {
-		return 0, ErrEmptySketch
-	}
-	return sum, nil
-}
-
-// Min returns the exact minimum inserted value.
-func (s *Sharded) Min() (float64, error) {
-	min, count := math.Inf(1), 0.0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		count += sh.sketch.Count()
-		if sh.sketch.min < min {
-			min = sh.sketch.min
-		}
-		sh.mu.Unlock()
-	}
-	if count <= 0 {
-		return 0, ErrEmptySketch
-	}
-	return min, nil
-}
-
-// Max returns the exact maximum inserted value.
-func (s *Sharded) Max() (float64, error) {
-	max, count := math.Inf(-1), 0.0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		count += sh.sketch.Count()
-		if sh.sketch.max > max {
-			max = sh.sketch.max
-		}
-		sh.mu.Unlock()
-	}
-	if count <= 0 {
-		return 0, ErrEmptySketch
-	}
-	return max, nil
-}
-
-// Avg returns the exact average of all inserted values.
-func (s *Sharded) Avg() (float64, error) {
-	sum, count := 0.0, 0.0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		count += sh.sketch.Count()
-		sum += sh.sketch.sum
-		sh.mu.Unlock()
-	}
-	if count <= 0 {
-		return 0, ErrEmptySketch
-	}
-	return sum / count, nil
-}
-
 // Clear empties every shard.
 func (s *Sharded) Clear() {
 	for i := range s.shards {
@@ -358,15 +256,6 @@ func (s *Sharded) Clear() {
 		sh.sketch.Clear()
 		sh.mu.Unlock()
 	}
-}
-
-// Encode returns a binary serialization of a merged snapshot, directly
-// consumable by Decode or DecodeAndMergeWith on an aggregator.
-func (s *Sharded) Encode() []byte { return s.Snapshot().Encode() }
-
-// EncodeAs serializes a merged snapshot in the named wire format.
-func (s *Sharded) EncodeAs(format string) ([]byte, error) {
-	return s.Snapshot().EncodeAs(format)
 }
 
 // String implements fmt.Stringer.

@@ -83,8 +83,9 @@ func TestShardedConcurrentAccuracy(t *testing.T) {
 	}
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
+	merged := s.Snapshot()
 	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1} {
-		est, err := s.Quantile(q)
+		est, err := merged.Quantile(q)
 		if err != nil {
 			t.Fatalf("Quantile(%g): %v", q, err)
 		}
@@ -95,9 +96,9 @@ func TestShardedConcurrentAccuracy(t *testing.T) {
 	}
 
 	// Exact statistics survive sharding.
-	min, _ := s.Min()
-	max, _ := s.Max()
-	sum, _ := s.Sum()
+	min, _ := merged.Min()
+	max, _ := merged.Max()
+	sum, _ := merged.Sum()
 	if min != sorted[0] || max != sorted[len(sorted)-1] {
 		t.Errorf("Min/Max = %g/%g, want %g/%g", min, max, sorted[0], sorted[len(sorted)-1])
 	}
@@ -144,7 +145,7 @@ func TestShardedFlushLosesNothing(t *testing.T) {
 	if want := float64(writers * perWriter); collected != want {
 		t.Fatalf("flushes collected %g values, want %g", collected, want)
 	}
-	if !s.IsEmpty() {
+	if s.Count() > 0 {
 		t.Error("sketch not empty after final flush")
 	}
 }
@@ -171,26 +172,27 @@ func TestShardedDecodeAndMergeWith(t *testing.T) {
 		}
 	}
 	s := newShardedForTest(t, 4)
-	if err := s.DecodeAndMergeWith(agent.Encode()); err != nil {
+	if err := decodeInto(s, agent.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Count(); got != 1000 {
 		t.Fatalf("Count = %g, want 1000", got)
 	}
-	if err := s.DecodeAndMergeWith([]byte("garbage")); !errors.Is(err, ddsketch.ErrInvalidEncoding) {
-		t.Fatalf("DecodeAndMergeWith(garbage): got %v, want ErrInvalidEncoding", err)
+	if err := decodeInto(s, []byte("garbage")); !errors.Is(err, ddsketch.ErrInvalidEncoding) {
+		t.Fatalf("decode and merge (garbage): got %v, want ErrInvalidEncoding", err)
 	}
 }
 
 func TestShardedEmptyQueries(t *testing.T) {
 	s := newShardedForTest(t, 2)
-	if !s.IsEmpty() {
+	if s.Count() > 0 {
 		t.Error("new sketch not empty")
 	}
-	if _, err := s.Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
+	empty := s.Snapshot()
+	if _, err := empty.Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
 		t.Errorf("Quantile on empty: got %v, want ErrEmptySketch", err)
 	}
-	for _, f := range []func() (float64, error){s.Min, s.Max, s.Sum} {
+	for _, f := range []func() (float64, error){empty.Min, empty.Max, empty.Sum} {
 		if _, err := f(); !errors.Is(err, ddsketch.ErrEmptySketch) {
 			t.Errorf("stat on empty: got %v, want ErrEmptySketch", err)
 		}
@@ -199,7 +201,7 @@ func TestShardedEmptyQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Clear()
-	if !s.IsEmpty() {
+	if s.Count() > 0 {
 		t.Error("sketch not empty after Clear")
 	}
 }
@@ -211,7 +213,7 @@ func TestShardedEncodeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decoded, err := ddsketch.Decode(s.Encode())
+	decoded, err := ddsketch.Decode(s.Snapshot().Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,13 @@ package ddsketch
 // concurrency/retention shape with NewSketch options and program
 // against Sketch.
 //
-// MergeWith and DecodeAndMergeWith fold data *into* a sketch; Snapshot
-// extracts a merged, independent *DDSketch copy *out* of one. Encode is
-// shorthand for serializing such a snapshot. For reading several
-// statistics at once, prefer Summary: on the merged variants (Sharded,
-// TimeWindowed, WindowedSharded) it pays for exactly one merge pass,
-// where N independent query calls would pay for N.
+// The interface holds only writes, merges and the two reads every
+// other read derives from. MergeWith folds data *into* a sketch;
+// Snapshot extracts a merged, independent *DDSketch copy *out* of one,
+// and that copy answers quantiles, the CDF and encoding. Summary reads
+// count, sum, min, max, avg and quantiles at once: on the merged
+// variants (Sharded, TimeWindowed, WindowedSharded) it pays for exactly
+// one merge pass.
 type Sketch interface {
 	// Add inserts a value.
 	Add(value float64) error
@@ -34,42 +35,17 @@ type Sketch interface {
 	// value is recorded.
 	AddBatchWithCount(values []float64, count float64) error
 
-	// Quantile returns an α-accurate estimate of the q-quantile.
-	Quantile(q float64) (float64, error)
-	// Quantiles returns α-accurate estimates for each of the given
-	// quantiles, all computed against one consistent view of the data.
-	Quantiles(qs []float64) ([]float64, error)
-	// Summary returns count, sum, min, max, avg, and the requested
-	// quantiles, computed in a single snapshot/merge pass.
-	Summary(qs ...float64) (Summary, error)
+	// MergeWith folds other into the sketch. other is not modified.
+	MergeWith(other *DDSketch) error
 
 	// Count returns the total inserted weight.
 	Count() float64
-	// IsEmpty reports whether the sketch holds no values.
-	IsEmpty() bool
-	// Sum returns the exact sum of inserted values.
-	Sum() (float64, error)
-	// Min returns the exact minimum inserted value.
-	Min() (float64, error)
-	// Max returns the exact maximum inserted value.
-	Max() (float64, error)
-	// Avg returns the exact average of inserted values.
-	Avg() (float64, error)
-
-	// MergeWith folds other into the sketch. other is not modified.
-	MergeWith(other *DDSketch) error
-	// DecodeAndMergeWith decodes a serialized sketch and folds it in.
-	DecodeAndMergeWith(data []byte) error
-
+	// Summary returns count, sum, min, max, avg, and the requested
+	// quantiles, computed in a single snapshot/merge pass.
+	Summary(qs ...float64) (Summary, error)
 	// Snapshot returns a merged, deep, independent copy of the sketch's
 	// current content as a plain DDSketch.
 	Snapshot() *DDSketch
-	// Encode returns a binary serialization of a consistent snapshot in
-	// the native wire format.
-	Encode() []byte
-	// EncodeAs serializes a consistent snapshot in the named wire
-	// format ("native", "datadog"); see the Codec registry.
-	EncodeAs(format string) ([]byte, error)
 
 	// Clear empties the sketch, keeping its configuration.
 	Clear()

@@ -2,7 +2,7 @@
 //
 // A store maps integer bucket indexes (produced by a mapping.IndexMapping)
 // to non-negative float64 counts. The paper discusses several layout
-// strategies in §2.2; this package provides all of them:
+// strategies in §2.2; this package provides the contiguous-array ones:
 //
 //   - DenseStore: contiguous array over the index range, unbounded growth;
 //     the fastest for insertion-heavy workloads with moderate ranges.
@@ -13,12 +13,6 @@
 //   - CollapsingHighestDenseStore: the mirror image, collapsing the
 //     highest buckets; used for the negative-value store so that the
 //     global lowest quantiles degrade first (§2.2).
-//   - SparseStore: a hash map from index to count; minimal memory for
-//     scattered indexes, slower inserts ("sacrificing speed for space
-//     efficiency", §2.2).
-//   - BufferedPaginatedStore: a compromise keeping counts in small pages
-//     allocated on demand, with an insertion buffer amortizing the page
-//     lookups.
 //
 // Counts are float64 (not integers) so that merged, scaled, or weighted
 // sketches work naturally. All stores accept negative count deltas to
@@ -51,14 +45,13 @@ var (
 // magnitude tops out around log(maxFloat64)/log(gamma); even α = 10⁻⁴
 // over the full float64 range stays within ±4·10⁶. Inputs beyond these
 // bounds cannot come from a real sketch, and rejecting them keeps a
-// corrupted (or hostile) payload from forcing the dense and paginated
-// stores into absurd allocations.
+// corrupted (or hostile) payload from forcing the dense stores into
+// absurd allocations.
 const (
 	// maxDecodedIndexMagnitude bounds each decoded bucket index.
 	maxDecodedIndexMagnitude = 1 << 40
 	// maxDecodedIndexSpan bounds the spread between the lowest and highest
-	// decoded index, which is what dense backing arrays and page
-	// directories scale with.
+	// decoded index, which is what dense backing arrays scale with.
 	maxDecodedIndexSpan = 1 << 22
 )
 
@@ -148,15 +141,10 @@ func CollapsingHighestProvider(maxBins int) Provider {
 	return func() Store { return NewCollapsingHighestDenseStore(maxBins) }
 }
 
-// SparseStoreProvider returns a Provider of SparseStores.
-func SparseStoreProvider() Provider { return func() Store { return NewSparseStore() } }
-
-// BufferedPaginatedProvider returns a Provider of BufferedPaginatedStores.
-func BufferedPaginatedProvider() Provider {
-	return func() Store { return NewBufferedPaginatedStore() }
-}
-
-// Store type tags used in the binary encoding.
+// Store type tags used in the binary encoding. Tags 4 and 5 were
+// written by the sparse and buffered-paginated stores of earlier
+// releases; no encoder writes them any more, and Decode reads their
+// bins into a DenseStore so those payloads stay readable.
 const (
 	typeDense             byte = 1
 	typeCollapsingLowest  byte = 2
@@ -166,7 +154,8 @@ const (
 )
 
 // Decode reads a store previously written by Store.Encode, reconstructing
-// the original concrete type and configuration.
+// the original concrete type and configuration. Bins written under the
+// retired sparse and paginated tags decode into a DenseStore.
 func Decode(r *encoding.Reader) (Store, error) {
 	tag, err := r.Byte()
 	if err != nil {
@@ -174,7 +163,7 @@ func Decode(r *encoding.Reader) (Store, error) {
 	}
 	var s Store
 	switch tag {
-	case typeDense:
+	case typeDense, typeSparse, typeBufferedPaginated:
 		s = NewDenseStore()
 	case typeCollapsingLowest, typeCollapsingHighest:
 		maxBins, err := r.Uvarint()
@@ -186,10 +175,6 @@ func Decode(r *encoding.Reader) (Store, error) {
 		} else {
 			s = NewCollapsingHighestDenseStore(int(maxBins))
 		}
-	case typeSparse:
-		s = NewSparseStore()
-	case typeBufferedPaginated:
-		s = NewBufferedPaginatedStore()
 	default:
 		return nil, fmt.Errorf("store: type tag %d: %w", tag, ErrUnknownStore)
 	}
@@ -292,78 +277,12 @@ func FoldPairwise(s Store) {
 	}
 }
 
-// keyAtRankGeneric implements KeyAtRank on top of ForEach for stores
-// without a faster native scan.
-func keyAtRankGeneric(s Store, rank float64) (int, error) {
-	if s.IsEmpty() {
-		return 0, ErrEmptyStore
-	}
-	if rank < 0 {
-		rank = 0
-	}
-	cum := 0.0
-	key := 0
-	found := false
-	s.ForEach(func(index int, count float64) bool {
-		cum += count
-		key = index
-		if cum > rank {
-			found = true
-			return false
-		}
-		return true
-	})
-	_ = found // when rank ≥ total count, the highest bucket is returned
-	return key, nil
-}
-
-// keyAtRankDescendingGeneric implements KeyAtRankDescending on top of
-// ForEach for stores without a native backward scan.
-func keyAtRankDescendingGeneric(s Store, rank float64) (int, error) {
-	if s.IsEmpty() {
-		return 0, ErrEmptyStore
-	}
-	if rank < 0 {
-		rank = 0
-	}
-	type bin struct {
-		index int
-		count float64
-	}
-	var bins []bin
-	s.ForEach(func(index int, count float64) bool {
-		bins = append(bins, bin{index, count})
-		return true
-	})
-	cum := 0.0
-	for i := len(bins) - 1; i >= 0; i-- {
-		cum += bins[i].count
-		if cum > rank {
-			return bins[i].index, nil
-		}
-	}
-	return bins[0].index, nil
-}
-
-// readOnlySource is implemented by stores whose ForEach has observable
-// side effects (e.g. flushing an insertion buffer), providing a
-// side-effect-free iteration for merges. Visit order is unspecified and
-// an index may be visited more than once with partial counts.
-type readOnlySource interface {
-	forEachReadOnly(f func(index int, count float64) bool)
-}
-
 // mergeGeneric implements MergeWith on top of iteration and
 // AddWithCount, without mutating the source store (the Store.MergeWith
 // contract that DDSketch.MergeWith relies on).
 func mergeGeneric(dst, src Store) {
-	add := func(index int, count float64) bool {
+	src.ForEach(func(index int, count float64) bool {
 		dst.AddWithCount(index, count)
 		return true
-	}
-	if ro, ok := src.(readOnlySource); ok {
-		ro.forEachReadOnly(add)
-		return
-	}
-	src.ForEach(add)
+	})
 }

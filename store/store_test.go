@@ -19,8 +19,6 @@ type storeCase struct {
 // unboundedStores never collapse and must agree bin-for-bin.
 var unboundedStores = []storeCase{
 	{"Dense", func() Store { return NewDenseStore() }},
-	{"Sparse", func() Store { return NewSparseStore() }},
-	{"BufferedPaginated", func() Store { return NewBufferedPaginatedStore() }},
 	{"CollapsingLowest(huge)", func() Store { return NewCollapsingLowestDenseStore(1 << 20) }},
 	{"CollapsingHighest(huge)", func() Store { return NewCollapsingHighestDenseStore(1 << 20) }},
 }
@@ -558,8 +556,6 @@ func TestProviders(t *testing.T) {
 		{"dense", DenseStoreProvider(), &DenseStore{}},
 		{"collapsingLowest", CollapsingLowestProvider(10), &CollapsingLowestDenseStore{}},
 		{"collapsingHighest", CollapsingHighestProvider(10), &CollapsingHighestDenseStore{}},
-		{"sparse", SparseStoreProvider(), &SparseStore{}},
-		{"bufferedPaginated", BufferedPaginatedProvider(), &BufferedPaginatedStore{}},
 	}
 	for _, c := range cases {
 		s1, s2 := c.provider(), c.provider()
@@ -585,45 +581,6 @@ func TestSizeBytesGrowsWithContent(t *testing.T) {
 		}
 		if full := s.SizeBytes(); full <= empty {
 			t.Errorf("%s: SizeBytes did not grow: %d -> %d", c.name, empty, full)
-		}
-	}
-}
-
-func TestBufferedPaginatedFlushBoundary(t *testing.T) {
-	s := NewBufferedPaginatedStore()
-	for i := 0; i < bufferFlushLen-1; i++ {
-		s.Add(i % 7)
-	}
-	if got := s.TotalCount(); got != float64(bufferFlushLen-1) {
-		t.Fatalf("TotalCount before flush = %g", got)
-	}
-	s.Add(3) // triggers flush
-	if got := s.TotalCount(); got != float64(bufferFlushLen) {
-		t.Fatalf("TotalCount after flush = %g", got)
-	}
-	if got := s.NumBins(); got != 7 {
-		t.Fatalf("NumBins = %d, want 7", got)
-	}
-}
-
-func TestBufferedPaginatedNegativeIndexPaging(t *testing.T) {
-	s := NewBufferedPaginatedStore()
-	indexes := []int{-1, -31, -32, -33, -64, 0, 31, 32}
-	for _, idx := range indexes {
-		s.AddWithCount(idx, 2) // direct page path
-	}
-	sort.Ints(indexes)
-	var got []int
-	s.ForEach(func(index int, count float64) bool {
-		got = append(got, index)
-		if count != 2 {
-			t.Errorf("count at %d = %g, want 2", index, count)
-		}
-		return true
-	})
-	for i := range indexes {
-		if got[i] != indexes[i] {
-			t.Fatalf("ForEach order %v, want %v", got, indexes)
 		}
 	}
 }
@@ -660,30 +617,6 @@ func TestQuickCollapsingPreservesTotalCount(t *testing.T) {
 			want += c
 		}
 		return math.Abs(s.TotalCount()-want) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickDenseSparseEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		dense := NewDenseStore()
-		sparse := NewSparseStore()
-		paginated := NewBufferedPaginatedStore()
-		for i := 0; i < 300; i++ {
-			idx := rng.Intn(600) - 300
-			c := rng.Float64() * 3
-			dense.AddWithCount(idx, c)
-			sparse.AddWithCount(idx, c)
-			paginated.AddWithCount(idx, c)
-		}
-		rank := rng.Float64() * dense.TotalCount()
-		kd, _ := dense.KeyAtRank(rank)
-		ks, _ := sparse.KeyAtRank(rank)
-		kp, _ := paginated.KeyAtRank(rank)
-		return kd == ks && ks == kp
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -820,59 +753,6 @@ func TestQuickKeyAtRankSymmetry(t *testing.T) {
 	}
 }
 
-// TestBufferedPaginatedMergeDoesNotMutateArgument is the regression test
-// for the MergeWith contract: DDSketch.MergeWith documents that the
-// argument is not modified, but the paginated fast path used to flush
-// the source's insertion buffer — a mutation, and a data race if the
-// source sketch is concurrently read.
-func TestBufferedPaginatedMergeDoesNotMutateArgument(t *testing.T) {
-	src := NewBufferedPaginatedStore()
-	for i := 0; i < 10; i++ {
-		src.Add(i) // unit counts stay in the buffer (well below flush size)
-	}
-	src.AddWithCount(100, 2.5) // non-unit count materializes a page
-	if len(src.buffer) != 10 {
-		t.Fatalf("precondition: buffer holds %d entries, want 10", len(src.buffer))
-	}
-	wantTotal := src.pagedCount
-
-	dst := NewBufferedPaginatedStore()
-	dst.MergeWith(src)
-
-	if len(src.buffer) != 10 {
-		t.Errorf("MergeWith flushed the argument's buffer: %d entries left, want 10", len(src.buffer))
-	}
-	if src.pagedCount != wantTotal {
-		t.Errorf("MergeWith changed the argument's paged count: %g, want %g", src.pagedCount, wantTotal)
-	}
-	if got, want := dst.TotalCount(), src.TotalCount(); got != want {
-		t.Errorf("destination TotalCount = %g, want %g", got, want)
-	}
-	// The merged content must match bucket for bucket.
-	src.flush()
-	dst.flush()
-	srcBins := map[int]float64{}
-	src.ForEach(func(i int, c float64) bool { srcBins[i] = c; return true })
-	dst.ForEach(func(i int, c float64) bool {
-		if srcBins[i] != c {
-			t.Errorf("bucket %d: dst has %g, src has %g", i, c, srcBins[i])
-		}
-		return true
-	})
-}
-
-func TestBufferedPaginatedMergeSelf(t *testing.T) {
-	s := NewBufferedPaginatedStore()
-	for i := 0; i < 5; i++ {
-		s.Add(i)
-	}
-	s.AddWithCount(40, 3)
-	s.MergeWith(s)
-	if got := s.TotalCount(); got != 16 {
-		t.Errorf("self-merge TotalCount = %g, want 16", got)
-	}
-}
-
 // TestDecodeBinsRejectsHostileInput locks in the decode-time validation
 // that keeps corrupted payloads from forcing huge dense allocations.
 func TestDecodeBinsRejectsHostileInput(t *testing.T) {
@@ -912,35 +792,6 @@ func TestDecodeBinsRejectsHostileInput(t *testing.T) {
 	for name, build := range cases {
 		if _, err := Decode(encode(build)); !errors.Is(err, ErrInvalidBins) {
 			t.Errorf("%s: got %v, want ErrInvalidBins", name, err)
-		}
-	}
-}
-
-// The no-mutation guarantee must hold on the generic merge path too:
-// merging a buffered paginated source into a *different* store type
-// goes through mergeGeneric, which must not flush the source either.
-func TestMergeGenericDoesNotMutatePaginatedSource(t *testing.T) {
-	src := NewBufferedPaginatedStore()
-	for i := 0; i < 10; i++ {
-		src.Add(i)
-	}
-	src.AddWithCount(100, 2.5)
-	for _, c := range []struct {
-		name string
-		new  func() Store
-	}{
-		{"Dense", func() Store { return NewDenseStore() }},
-		{"CollapsingLowest", func() Store { return NewCollapsingLowestDenseStore(2048) }},
-		{"CollapsingHighest", func() Store { return NewCollapsingHighestDenseStore(2048) }},
-		{"Sparse", func() Store { return NewSparseStore() }},
-	} {
-		dst := c.new()
-		dst.MergeWith(src)
-		if len(src.buffer) != 10 {
-			t.Errorf("%s: MergeWith flushed the source buffer: %d entries left, want 10", c.name, len(src.buffer))
-		}
-		if got, want := dst.TotalCount(), src.TotalCount(); got != want {
-			t.Errorf("%s: destination TotalCount = %g, want %g", c.name, got, want)
 		}
 	}
 }

@@ -404,7 +404,7 @@ func TestUniformShardedIndependentCollapse(t *testing.T) {
 					return
 				}
 				if i%5000 == 4999 {
-					if err := s.DecodeAndMergeWith(payload); err != nil {
+					if err := decodeInto(s, payload); err != nil {
 						t.Error(err)
 						return
 					}

@@ -2,7 +2,6 @@ package ddsketch
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 )
@@ -198,16 +197,6 @@ func (w *TimeWindowed) MergeWith(other *DDSketch) error {
 	return w.ring[w.head].MergeWith(other)
 }
 
-// DecodeAndMergeWith decodes a serialized sketch and folds it into the
-// current interval. Decoding happens outside the lock.
-func (w *TimeWindowed) DecodeAndMergeWith(data []byte) error {
-	other, err := Decode(data)
-	if err != nil {
-		return err
-	}
-	return w.MergeWith(other)
-}
-
 // Trailing returns a merged deep copy of the last k intervals, newest
 // first from the current one. k is clamped to [1, Windows()]. The copy
 // is independent of the ring: callers can query or encode it without
@@ -236,51 +225,11 @@ func (w *TimeWindowed) Trailing(k int) *DDSketch {
 // Snapshot returns a merged deep copy of every retained interval.
 func (w *TimeWindowed) Snapshot() *DDSketch { return w.Trailing(len(w.ring)) }
 
-// Quantile returns an α-accurate estimate of the q-quantile over all
-// retained intervals.
-func (w *TimeWindowed) Quantile(q float64) (float64, error) {
-	return w.Snapshot().Quantile(q)
-}
-
-// TrailingQuantile returns an α-accurate estimate of the q-quantile
-// over the last k intervals. Each call pays for one ring merge; for
-// several quantiles over the same window, TrailingQuantiles and
-// TrailingSummary merge once for the whole call.
-func (w *TimeWindowed) TrailingQuantile(q float64, k int) (float64, error) {
-	return w.Trailing(k).Quantile(q)
-}
-
-// TrailingQuantiles returns α-accurate estimates for each of the given
-// quantiles over the last k intervals, merging the ring exactly once
-// for the whole call.
-func (w *TimeWindowed) TrailingQuantiles(qs []float64, k int) ([]float64, error) {
-	return w.Trailing(k).Quantiles(qs)
-}
-
-// Quantiles returns α-accurate estimates for each of the given
-// quantiles over all retained intervals, computed against one snapshot
-// — one ring merge for the whole call.
-func (w *TimeWindowed) Quantiles(qs []float64) ([]float64, error) {
-	return w.Snapshot().Quantiles(qs)
-}
-
 // Summary returns count, sum, min, max, avg, and the requested
 // quantiles over all retained intervals in exactly one merge pass over
 // the ring.
 func (w *TimeWindowed) Summary(qs ...float64) (Summary, error) {
 	return w.Snapshot().summarize(qs)
-}
-
-// TrailingSummary is Summary restricted to the last k intervals,
-// likewise in one merge pass.
-func (w *TimeWindowed) TrailingSummary(k int, qs ...float64) (Summary, error) {
-	return w.Trailing(k).summarize(qs)
-}
-
-// CDF returns an estimate of the fraction of retained values that are
-// less than or equal to value.
-func (w *TimeWindowed) CDF(value float64) (float64, error) {
-	return w.Snapshot().CDF(value)
 }
 
 // Count returns the total weight across all retained intervals.
@@ -293,91 +242,6 @@ func (w *TimeWindowed) Count() float64 {
 		total += s.Count()
 	}
 	return total
-}
-
-// IsEmpty reports whether no retained interval holds any values.
-func (w *TimeWindowed) IsEmpty() bool { return w.Count() <= 0 }
-
-// statsLocked folds the running statistics of the trailing intervals
-// without copying any store, visiting slots newest-first (the same
-// order Trailing merges in, so float accumulation matches a snapshot
-// exactly). Callers must hold w.mu.
-func (w *TimeWindowed) statsLocked() (count, sum, min, max float64) {
-	min, max = math.Inf(1), math.Inf(-1)
-	for i := 0; i < len(w.ring); i++ {
-		slot := (w.head - i + len(w.ring)) % len(w.ring)
-		s := w.ring[slot]
-		count += s.Count()
-		sum += s.sum
-		if s.min < min {
-			min = s.min
-		}
-		if s.max > max {
-			max = s.max
-		}
-	}
-	return count, sum, min, max
-}
-
-// Sum returns the exact sum of values in the retained intervals.
-func (w *TimeWindowed) Sum() (float64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.advance()
-	count, sum, _, _ := w.statsLocked()
-	if count <= 0 {
-		return 0, ErrEmptySketch
-	}
-	return sum, nil
-}
-
-// Min returns the exact minimum value in the retained intervals (not
-// adjusted by expiry of the interval that held it — like DDSketch.Min,
-// it reflects values inserted since the slot was last cleared).
-func (w *TimeWindowed) Min() (float64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.advance()
-	count, _, min, _ := w.statsLocked()
-	if count <= 0 {
-		return 0, ErrEmptySketch
-	}
-	return min, nil
-}
-
-// Max returns the exact maximum value in the retained intervals.
-func (w *TimeWindowed) Max() (float64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.advance()
-	count, _, _, max := w.statsLocked()
-	if count <= 0 {
-		return 0, ErrEmptySketch
-	}
-	return max, nil
-}
-
-// Avg returns the exact average of values in the retained intervals.
-func (w *TimeWindowed) Avg() (float64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.advance()
-	count, sum, _, _ := w.statsLocked()
-	if count <= 0 {
-		return 0, ErrEmptySketch
-	}
-	return sum / count, nil
-}
-
-// Encode returns a binary serialization of a merged snapshot of all
-// retained intervals, directly consumable by Decode or
-// DecodeAndMergeWith on another aggregator.
-func (w *TimeWindowed) Encode() []byte { return w.Snapshot().Encode() }
-
-// EncodeAs serializes a merged snapshot of all retained intervals in
-// the named wire format.
-func (w *TimeWindowed) EncodeAs(format string) ([]byte, error) {
-	return w.Snapshot().EncodeAs(format)
 }
 
 // Clear empties every interval and restarts the current one at the

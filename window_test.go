@@ -81,7 +81,7 @@ func TestTimeWindowedRotation(t *testing.T) {
 	if got := w.Count(); got != 200 {
 		t.Fatalf("Count after 3 intervals + rotation = %g, want 200", got)
 	}
-	med, err := w.Quantile(0.5)
+	med, err := w.Snapshot().Quantile(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestTimeWindowedRotation(t *testing.T) {
 		t.Errorf("Trailing(1).Count = %g, want 0 (fresh interval)", got)
 	}
 	// Trailing(2) covers the 100s only.
-	p, err := w.TrailingQuantile(0.5, 2)
+	p, err := w.Trailing(2).Quantile(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p < 99 || p > 101 {
-		t.Errorf("TrailingQuantile(0.5, 2) = %g, want ≈100", p)
+		t.Errorf("Trailing(2).Quantile(0.5) = %g, want ≈100", p)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestTimeWindowedIdleExpiry(t *testing.T) {
 	}
 	// An idle gap longer than the whole ring expires everything.
 	clock.Advance(10 * time.Second)
-	if !w.IsEmpty() {
+	if w.Count() > 0 {
 		t.Fatalf("after idle gap: Count = %g, want 0", w.Count())
 	}
 	// The ring keeps working after the mass expiry.
@@ -169,7 +169,7 @@ func TestTimeWindowedMerge(t *testing.T) {
 	if err := w.MergeWith(agent); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.DecodeAndMergeWith(agent.Encode()); err != nil {
+	if err := decodeInto(w, agent.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Count(); got != 200 {
@@ -189,7 +189,7 @@ func TestTimeWindowedMerge(t *testing.T) {
 	}
 	// Merged content rotates out like directly added content.
 	clock.Advance(3 * time.Minute)
-	if !w.IsEmpty() {
+	if w.Count() > 0 {
 		t.Errorf("after expiry: Count = %g, want 0", w.Count())
 	}
 }
@@ -202,10 +202,10 @@ func TestTimeWindowedClear(t *testing.T) {
 		}
 	}
 	w.Clear()
-	if !w.IsEmpty() {
+	if w.Count() > 0 {
 		t.Error("not empty after Clear")
 	}
-	if _, err := w.Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
+	if _, err := w.Snapshot().Quantile(0.5); !errors.Is(err, ddsketch.ErrEmptySketch) {
 		t.Errorf("Quantile after Clear: got %v, want ErrEmptySketch", err)
 	}
 }
@@ -319,7 +319,7 @@ func TestTimeWindowedConcurrent(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			clock.Advance(time.Millisecond / 4)
-			_, _ = w.Quantile(0.9)
+			_, _ = w.Snapshot().Quantile(0.9)
 			_ = w.Count()
 		}
 	}()

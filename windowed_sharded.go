@@ -136,12 +136,6 @@ func (ws *WindowedSharded) AddBatchWithCount(values []float64, count float64) er
 // of the agent workflow. other is not modified.
 func (ws *WindowedSharded) MergeWith(other *DDSketch) error { return ws.live.MergeWith(other) }
 
-// DecodeAndMergeWith decodes a serialized sketch and folds it into the
-// live layer. Decoding happens outside any lock.
-func (ws *WindowedSharded) DecodeAndMergeWith(data []byte) error {
-	return ws.live.DecodeAndMergeWith(data)
-}
-
 // Trailing drains and returns a merged deep copy of the last k
 // intervals, newest first. k is clamped to [1, Windows()].
 func (ws *WindowedSharded) Trailing(k int) *DDSketch {
@@ -156,36 +150,10 @@ func (ws *WindowedSharded) Snapshot() *DDSketch {
 	return ws.ring.Snapshot()
 }
 
-// Encode returns a binary serialization of a merged snapshot.
-func (ws *WindowedSharded) Encode() []byte { return ws.Snapshot().Encode() }
-
-// EncodeAs serializes a merged snapshot in the named wire format.
-func (ws *WindowedSharded) EncodeAs(format string) ([]byte, error) {
-	return ws.Snapshot().EncodeAs(format)
-}
-
-// Quantile returns an α-accurate estimate of the q-quantile over all
-// retained intervals.
-func (ws *WindowedSharded) Quantile(q float64) (float64, error) {
-	return ws.Snapshot().Quantile(q)
-}
-
 // Quantiles returns α-accurate estimates for each of the given
 // quantiles, all computed against one merged snapshot.
 func (ws *WindowedSharded) Quantiles(qs []float64) ([]float64, error) {
 	return ws.Snapshot().Quantiles(qs)
-}
-
-// TrailingQuantile returns an α-accurate estimate of the q-quantile
-// over the last k intervals.
-func (ws *WindowedSharded) TrailingQuantile(q float64, k int) (float64, error) {
-	return ws.Trailing(k).Quantile(q)
-}
-
-// TrailingQuantiles returns α-accurate estimates for each of the given
-// quantiles over the last k intervals, merging once for the whole call.
-func (ws *WindowedSharded) TrailingQuantiles(qs []float64, k int) ([]float64, error) {
-	return ws.Trailing(k).Quantiles(qs)
 }
 
 // Summary returns count, sum, min, max, avg, and the requested
@@ -204,39 +172,6 @@ func (ws *WindowedSharded) TrailingSummary(k int, qs ...float64) (Summary, error
 func (ws *WindowedSharded) Count() float64 {
 	ws.Drain()
 	return ws.ring.Count()
-}
-
-// IsEmpty reports whether neither layer holds any values.
-func (ws *WindowedSharded) IsEmpty() bool { return ws.Count() <= 0 }
-
-// Sum returns the exact sum of values in the retained intervals.
-func (ws *WindowedSharded) Sum() (float64, error) {
-	ws.Drain()
-	return ws.ring.Sum()
-}
-
-// Min returns the exact minimum value in the retained intervals.
-func (ws *WindowedSharded) Min() (float64, error) {
-	ws.Drain()
-	return ws.ring.Min()
-}
-
-// Max returns the exact maximum value in the retained intervals.
-func (ws *WindowedSharded) Max() (float64, error) {
-	ws.Drain()
-	return ws.ring.Max()
-}
-
-// Avg returns the exact average of values in the retained intervals.
-func (ws *WindowedSharded) Avg() (float64, error) {
-	ws.Drain()
-	return ws.ring.Avg()
-}
-
-// CDF returns an estimate of the fraction of retained values that are
-// less than or equal to value.
-func (ws *WindowedSharded) CDF(value float64) (float64, error) {
-	return ws.Snapshot().CDF(value)
 }
 
 // Clear empties both layers and restarts the current interval.
