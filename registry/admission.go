@@ -98,3 +98,28 @@ func (c *countMin) reset() {
 
 // sizeBytes estimates the in-memory footprint.
 func (c *countMin) sizeBytes() int { return 8*len(c.counts) + 48 }
+
+// decayToGeneration applies every rotation-driven admission decay due
+// between the segment's last decay and gen: one halving per `every`
+// intervals elapsed. Callers must hold the segment lock. A gen at or
+// behind the last decay is a no-op — callers sample the clock before
+// locking, so a stale generation must not underflow the subtraction
+// and wipe the admission state.
+func (seg *segment) decayToGeneration(gen uint64, every int) {
+	if gen <= seg.decayGen {
+		return
+	}
+	due := (gen - seg.decayGen) / uint64(every)
+	if due == 0 {
+		return
+	}
+	if due >= 64 {
+		// 2^-64 of any float64 counter is zero for admission purposes.
+		seg.cm.reset()
+	} else {
+		for i := uint64(0); i < due; i++ {
+			seg.cm.halve()
+		}
+	}
+	seg.decayGen += due * uint64(every)
+}

@@ -30,6 +30,8 @@
 //     ring of per-interval sketches on one shared rotation grid, so
 //     reads answer "over the trailing k intervals" consistently across
 //     keys, rotation drives admission decay, and idle series age out.
+//     Each segment's overflow is a ring on the same grid, so evicted and
+//     pre-admission values age out with it.
 //   - Inverted label index: each segment maintains name=value (and
 //     name-presence) posting lists under its lock, so a constrained
 //     roll-up walks the smallest posting list of its filter instead of

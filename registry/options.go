@@ -74,7 +74,7 @@ func WithMaxSketches(n int) Option {
 
 // WithSegments sets the number of lock-striped segments (rounded up to
 // a power of two). More segments mean less write contention and more
-// fixed overhead (one overflow sketch and one admission sketch each).
+// fixed overhead (one overflow ring and one admission sketch each).
 func WithSegments(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -146,15 +146,14 @@ func WithAdmissionDecay(every int) Option {
 }
 
 // WithSketchOptions sets the shared template every per-key sketch (and
-// each segment's overflow sketch) is built from — any combination
-// ddsketch.NewSketch accepts: accuracy, mapping, bin bounds, uniform
-// collapse. All sketches sharing the template share a mapping lineage,
-// which is what keeps eviction merges and roll-ups exact. Per-key
-// sketches are only ever touched under their segment's lock, so the
-// template needs no concurrency options of its own — and under
-// WithKeyWindow it must not have any: New rejects templates carrying
-// WithMutex, WithSharding, or WithWindow when per-key rings provide
-// the windowing (the validation happens at New, not on first Add).
+// each segment's overflow sketch) is copied from — any combination
+// ddsketch.NewSketch accepts that builds a plain sketch: accuracy,
+// mapping, bin bounds, uniform collapse. All sketches sharing the
+// template share a mapping lineage, which is what keeps eviction merges
+// and roll-ups exact. Per-key sketches are only ever touched under
+// their segment's lock and the registry provides its own windowing, so
+// New rejects templates carrying WithMutex, WithSharding, or WithWindow
+// (the validation happens at New, not on first Add).
 func WithSketchOptions(opts ...ddsketch.Option) Option {
 	return func(c *config) error {
 		c.template = opts

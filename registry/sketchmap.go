@@ -4,12 +4,14 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/ddsketch-go/ddsketch"
+	"github.com/ddsketch-go/ddsketch/internal/window"
 )
 
 // ErrInvalidKey is returned when an operation is given the zero
@@ -31,114 +33,55 @@ const (
 	postingRefOverhead = 32
 )
 
-// entry is one live keyed series: its identity, its sketch state, and
-// its link into the owning segment's recency list. Two shapes share the
-// struct:
-//
-//   - unwindowed (the default): sk holds the whole series, ring is nil;
-//   - windowed (WithKeyWindow): ring is the series' interval ring —
-//     ring[head] is the interval of generation gen, older slots hold
-//     older intervals, nil slots are intervals never written — and sk
-//     is nil. All rings share the registry's clock and rotation grid,
-//     so "the trailing k intervals" means the same wall-clock span for
-//     every series.
+// entry is one live keyed series: its identity, its ring of interval
+// sketches, and its link into the owning segment's recency list. Every
+// ring sits on the registry's grid, so "the trailing k intervals" means
+// the same wall-clock span for every series; an unwindowed registry's
+// rings have a single slot on a grid whose generation is always 0.
 type entry struct {
 	labels LabelSet
 	elem   *list.Element
-
-	sk   ddsketch.Sketch      // unwindowed series
-	ring []*ddsketch.DDSketch // windowed series; lazily allocated slots
-	head int                  // ring[head] is the current interval
-	gen  uint64               // rotation generation ring[head] belongs to
+	ring   sketchRing
 }
 
-// catchUp rotates a windowed entry's ring forward to generation gen,
-// clearing expired slots in place (at most once each, however large the
-// gap). Unwindowed entries ignore it. Callers must hold the segment
-// lock.
-//
-// A gen older than the entry's is treated as already-current: callers
-// sample the registry clock before taking the segment lock, so at an
-// interval boundary an operation can arrive with a generation a
-// concurrent writer has already advanced past. Rotating by the wrapped
-// difference would clear the entire retained ring.
-func (e *entry) catchUp(gen uint64) {
-	if e.ring == nil || gen <= e.gen {
-		return
-	}
-	steps := gen - e.gen
-	e.gen = gen
-	if steps >= uint64(len(e.ring)) {
-		for _, s := range e.ring {
-			if s != nil {
-				s.Clear()
-			}
-		}
-		return
-	}
-	for ; steps > 0; steps-- {
-		e.head = (e.head + 1) % len(e.ring)
-		if e.ring[e.head] != nil {
-			e.ring[e.head].Clear()
-		}
-	}
+// sketchRing is a ring of interval sketches whose slots are allocated
+// on first write (so a freshly admitted series costs one sketch, not
+// Windows of them).
+type sketchRing = window.Ring[*ddsketch.DDSketch]
+
+// ringStats returns the total weight a ring retains and an estimate of
+// its footprint: its slot pointers and every allocated slot.
+func ringStats(r *sketchRing) (weight float64, size int) {
+	size = 24 * r.Len() // ring header + slot pointers
+	_ = r.Trailing(r.Len(), func(s *ddsketch.DDSketch) error {
+		weight += s.Count()
+		size += s.SizeBytes()
+		return nil
+	})
+	return weight, size
 }
 
-// isEmpty reports whether the entry holds no data in any retained
-// interval (callers catch the ring up first).
-func (e *entry) isEmpty() bool {
-	if e.ring == nil {
-		return e.sk.Count() <= 0
-	}
-	for _, s := range e.ring {
-		if s != nil && !s.IsEmpty() {
-			return false
+// mergeInto returns a Trailing visitor merging each non-empty slot into
+// acc.
+func mergeInto(acc *ddsketch.DDSketch) func(*ddsketch.DDSketch) error {
+	return func(s *ddsketch.DDSketch) error {
+		if s.IsEmpty() {
+			return nil
 		}
+		return acc.MergeWith(s)
 	}
-	return true
-}
-
-// forEachTrailing visits the entry's data newest-interval-first,
-// restricted to the trailing k intervals of a windowed entry (k <= 0 or
-// k >= len(ring) means every retained interval; unwindowed entries are
-// visited whole regardless of k). Callers must hold the segment lock;
-// the visited sketches are live — read (merge from) them, never mutate.
-func (e *entry) forEachTrailing(k int, fn func(*ddsketch.DDSketch) error) error {
-	if e.ring == nil {
-		// The common template builds plain sketches, mergeable in place;
-		// an exotic template (a concurrent variant, say) reduces through
-		// a snapshot.
-		if plain, ok := e.sk.(*ddsketch.DDSketch); ok {
-			return fn(plain)
-		}
-		return fn(e.sk.Snapshot())
-	}
-	if k <= 0 || k > len(e.ring) {
-		k = len(e.ring)
-	}
-	for i := 0; i < k; i++ {
-		slot := e.ring[(e.head-i+len(e.ring))%len(e.ring)]
-		if slot == nil || slot.IsEmpty() {
-			continue
-		}
-		if err := fn(slot); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // segment is one lock-striped shard of a SketchMap: a map of live
 // entries with a write-recency list, the segment's share of the
-// admission sketch, its overflow sketch, and its slice of the inverted
+// admission sketch, its overflow ring, and its slice of the inverted
 // label index. All fields are guarded by mu; per-key sketches are only
-// touched under it, so the template can produce plain (non-concurrent)
-// sketches.
+// touched under it, so they are plain (non-concurrent) sketches.
 type segment struct {
 	mu       sync.Mutex
 	entries  map[string]*entry
 	lru      *list.List // front = most recently written
-	overflow ddsketch.Sketch
+	overflow sketchRing // pre-admission and evicted data, by interval
 	cm       *countMin
 	observed int    // admission updates since the last decay (unwindowed)
 	decayGen uint64 // generation of the last rotation-driven decay (windowed)
@@ -239,26 +182,26 @@ func (seg *segment) sortedKeys() []string {
 // quantile sketches — the keyed aggregation registry described in the
 // package comment. Keys are spread across power-of-two lock-striped
 // segments by a hash of their canonical encoding; each per-key sketch
-// is built from the shared option template given to New, so keyed
-// sketches compose with mappings, bin bounds, and uniform collapse
-// exactly like standalone ones.
+// is a copy of the template given to New, so keyed sketches compose
+// with mappings, bin bounds, and uniform collapse exactly like
+// standalone ones.
 //
 // With WithKeyWindow, every series is a ring of per-interval sketches
 // on one shared rotation grid (anchored at New, advanced by the
 // registry clock), so roll-ups and Get can answer over the trailing k
 // intervals; rotation also drives admission decay and ages idle series
-// out entirely (see Rotate).
+// out entirely (see Rotate). Each segment's overflow is a ring on the
+// same grid, so evicted and pre-admission data ages out like the rest.
 //
 // A SketchMap is safe for concurrent use.
 type SketchMap struct {
-	cfg       config
-	newSketch func() (ddsketch.Sketch, error)
-	segs      []*segment
-	segMask   uint64
+	cfg     config
+	segs    []*segment
+	segMask uint64
 
 	clock func() time.Time
-	epoch time.Time          // rotation-grid anchor (construction time)
-	proto *ddsketch.DDSketch // windowed mode: empty template rings copy slots from
+	grid  window.Grid        // rotation grid, anchored at construction
+	proto *ddsketch.DDSketch // empty template ring slots copy
 
 	live       atomic.Int64  // live entries across all segments
 	admitted   atomic.Uint64 // keys ever promoted to their own sketch
@@ -269,10 +212,9 @@ type SketchMap struct {
 }
 
 // New builds a SketchMap from the given options (see Option). The
-// sketch template is validated eagerly: a template NewSketch rejects —
-// or, under WithKeyWindow, one that layers its own concurrency or
-// windowing, which the per-key rings cannot honor — is reported here,
-// not on first Add.
+// sketch template is validated eagerly: a template NewSketch rejects,
+// or one that layers its own concurrency or windowing, is reported
+// here, not on first Add.
 func New(opts ...Option) (*SketchMap, error) {
 	cfg := defaultRegistryConfig()
 	for _, opt := range opts {
@@ -280,51 +222,38 @@ func New(opts ...Option) (*SketchMap, error) {
 			return nil, err
 		}
 	}
-	newSketch := func() (ddsketch.Sketch, error) { return ddsketch.NewSketch(cfg.template...) }
-	probe, err := newSketch()
+	probe, err := ddsketch.NewSketch(cfg.template...)
 	if err != nil {
 		return nil, fmt.Errorf("%w: sketch template: %v", ErrInvalidOption, err)
 	}
+	// Ring slots rotate, clear, and merge in place under the segment
+	// lock, which only a plain sketch supports: a template carrying its
+	// own mutex, sharding, or window ring would double-layer concurrency
+	// and retention the registry already provides.
+	proto, ok := probe.(*ddsketch.DDSketch)
+	if !ok {
+		return nil, fmt.Errorf(
+			"%w: the sketch template must build a plain sketch, got %T (drop WithMutex/WithSharding/WithWindow from WithSketchOptions)",
+			ErrInvalidOption, probe)
+	}
+	proto.Clear()
 	clock := cfg.clock
 	if clock == nil {
 		clock = time.Now
 	}
 	m := &SketchMap{
-		cfg:       cfg,
-		newSketch: newSketch,
-		segs:      make([]*segment, cfg.segments),
-		segMask:   uint64(cfg.segments - 1),
-		clock:     clock,
-		epoch:     clock(),
-	}
-	if cfg.keyWindows > 0 {
-		// Per-key rings rotate, clear, and merge their slots in place
-		// under the segment lock, which only a plain sketch supports: a
-		// template carrying its own mutex, sharding, or window ring would
-		// double-layer concurrency and retention the registry already
-		// provides.
-		plain, ok := probe.(*ddsketch.DDSketch)
-		if !ok {
-			return nil, fmt.Errorf(
-				"%w: WithKeyWindow needs a plain sketch template, got %T (drop WithMutex/WithSharding/WithWindow from WithSketchOptions; the per-key rings provide windowing)",
-				ErrInvalidOption, probe)
-		}
-		plain.Clear()
-		m.proto = plain
+		cfg:     cfg,
+		segs:    make([]*segment, cfg.segments),
+		segMask: uint64(cfg.segments - 1),
+		clock:   clock,
+		grid:    window.NewGrid(clock(), cfg.keyInterval),
+		proto:   proto,
 	}
 	for i := range m.segs {
-		overflow, err := newSketch()
-		if err != nil {
-			return nil, err
-		}
 		m.segs[i] = &segment{
-			entries: make(map[string]*entry),
-			lru:     list.New(),
-			// Overflow stays unwindowed even under WithKeyWindow: evicted
-			// and pre-admission data has already lost its per-key
-			// granularity, and losing its age too is the documented cost
-			// of eviction — match-all roll-ups keep counting it forever.
-			overflow: overflow,
+			entries:  make(map[string]*entry),
+			lru:      list.New(),
+			overflow: m.newRing(0),
 			cm:       newCountMin(cfg.cmDepth, cfg.cmWidth),
 			exact:    make(map[string]map[string]*entry),
 			present:  make(map[string]map[string]*entry),
@@ -337,17 +266,37 @@ func New(opts ...Option) (*SketchMap, error) {
 func (m *SketchMap) segmentFor(hash uint64) *segment { return m.segs[hash&m.segMask] }
 
 // generation returns the rotation generation containing the clock's
-// present reading: the number of whole key-window intervals since the
-// registry was built. Always 0 for unwindowed registries.
+// present reading. Always 0 for unwindowed registries, which skip the
+// clock read.
 func (m *SketchMap) generation() uint64 {
 	if m.cfg.keyWindows == 0 {
 		return 0
 	}
-	elapsed := m.clock().Sub(m.epoch)
-	if elapsed <= 0 {
-		return 0
+	return m.grid.Gen(m.clock())
+}
+
+// newRing returns an empty ring on the registry's grid with its head at
+// generation gen: one slot per key window, or one for an unwindowed
+// registry.
+func (m *SketchMap) newRing(gen uint64) sketchRing {
+	return window.NewRing(make([]*ddsketch.DDSketch, max(1, m.cfg.keyWindows)), gen)
+}
+
+// head advances r to generation gen and returns its head slot,
+// allocating it from the template on first use. Callers must hold the
+// segment lock.
+func (m *SketchMap) head(r *sketchRing, gen uint64) *ddsketch.DDSketch {
+	r.Advance(gen, nil)
+	return m.slot(r.Head())
+}
+
+// slot returns the sketch p points at, allocating it from the template
+// on first use.
+func (m *SketchMap) slot(p **ddsketch.DDSketch) *ddsketch.DDSketch {
+	if *p == nil {
+		*p = m.proto.Copy()
 	}
-	return uint64(elapsed / m.cfg.keyInterval)
+	return *p
 }
 
 // noteGeneration records the highest generation observed, the
@@ -390,18 +339,14 @@ func (m *SketchMap) AddWithCount(ls LabelSet, value, count float64) error {
 	defer seg.mu.Unlock()
 	if e, ok := seg.entries[key]; ok {
 		seg.lru.MoveToFront(e.elem)
-		e.catchUp(gen)
-		return m.writeTarget(e).AddWithCount(value, count)
+		return m.head(&e.ring, gen).AddWithCount(value, count)
 	}
 	if !m.admitLocked(seg, hash, count, gen) {
 		m.overflowed.Add(1)
-		return seg.overflow.AddWithCount(value, count)
+		return m.head(&seg.overflow, gen).AddWithCount(value, count)
 	}
-	e, err := m.newEntry(ls, gen)
-	if err != nil {
-		return err
-	}
-	if addErr := m.writeTarget(e).AddWithCount(value, count); addErr != nil {
+	e := &entry{labels: ls, ring: m.newRing(gen)}
+	if addErr := m.head(&e.ring, gen).AddWithCount(value, count); addErr != nil {
 		// Nothing was recorded; don't install an empty series for a
 		// value the sketch rejected.
 		return addErr
@@ -440,19 +385,16 @@ func (m *SketchMap) AddBatchWithCount(ls LabelSet, values []float64, count float
 	defer seg.mu.Unlock()
 	if e, ok := seg.entries[key]; ok {
 		seg.lru.MoveToFront(e.elem)
-		e.catchUp(gen)
-		return m.writeTarget(e).AddBatchWithCount(values, count)
+		return m.head(&e.ring, gen).AddBatchWithCount(values, count)
 	}
 	if !m.admitLocked(seg, hash, count*float64(len(values)), gen) {
 		m.overflowed.Add(uint64(len(values)))
-		return seg.overflow.AddBatchWithCount(values, count)
+		return m.head(&seg.overflow, gen).AddBatchWithCount(values, count)
 	}
-	e, err := m.newEntry(ls, gen)
-	if err != nil {
-		return err
-	}
-	batchErr := m.writeTarget(e).AddBatchWithCount(values, count)
-	if e.isEmpty() {
+	e := &entry{labels: ls, ring: m.newRing(gen)}
+	sk := m.head(&e.ring, gen)
+	batchErr := sk.AddBatchWithCount(values, count)
+	if sk.IsEmpty() {
 		// The batch failed on its first value: no prefix to keep, no
 		// series to install.
 		return batchErr
@@ -461,34 +403,6 @@ func (m *SketchMap) AddBatchWithCount(ls LabelSet, values []float64, count float
 		return err
 	}
 	return batchErr
-}
-
-// newEntry builds a not-yet-installed series shell for ls at the given
-// generation: an unwindowed template sketch, or an interval ring whose
-// slots allocate lazily on first write (so a freshly admitted series
-// costs one sketch, not Windows of them).
-func (m *SketchMap) newEntry(ls LabelSet, gen uint64) (*entry, error) {
-	if m.cfg.keyWindows > 0 {
-		return &entry{labels: ls, ring: make([]*ddsketch.DDSketch, m.cfg.keyWindows), gen: gen}, nil
-	}
-	sk, err := m.newSketch()
-	if err != nil {
-		return nil, err
-	}
-	return &entry{labels: ls, sk: sk}, nil
-}
-
-// writeTarget returns the sketch the entry's next write lands in,
-// allocating the current ring slot on first use. Callers must hold the
-// segment lock and have caught the entry up to the current generation.
-func (m *SketchMap) writeTarget(e *entry) ddsketch.Sketch {
-	if e.ring == nil {
-		return e.sk
-	}
-	if e.ring[e.head] == nil {
-		e.ring[e.head] = m.proto.Copy()
-	}
-	return e.ring[e.head]
 }
 
 // admitLocked updates the segment's admission state with one
@@ -517,31 +431,6 @@ func (m *SketchMap) admitLocked(seg *segment, hash uint64, weight float64, gen u
 	return est >= m.cfg.threshold
 }
 
-// decayToGeneration applies every rotation-driven admission decay due
-// between the segment's last decay and gen: one halving per `every`
-// intervals elapsed. Callers must hold the segment lock. A gen at or
-// behind the last decay is a no-op — callers sample the clock before
-// locking, so a stale generation must not underflow the subtraction
-// and wipe the admission state.
-func (seg *segment) decayToGeneration(gen uint64, every int) {
-	if gen <= seg.decayGen {
-		return
-	}
-	due := (gen - seg.decayGen) / uint64(every)
-	if due == 0 {
-		return
-	}
-	if due >= 64 {
-		// 2^-64 of any float64 counter is zero for admission purposes.
-		seg.cm.reset()
-	} else {
-		for i := uint64(0); i < due; i++ {
-			seg.cm.halve()
-		}
-	}
-	seg.decayGen += due * uint64(every)
-}
-
 // installLocked registers a freshly admitted series (its sketch already
 // holding the triggering data, so evicting it straight back out loses
 // nothing), adds it to the inverted index, and enforces the sketch
@@ -558,24 +447,31 @@ func (m *SketchMap) installLocked(seg *segment, key string, e *entry, gen uint64
 }
 
 // evictLocked folds the segment's least-recently-written series into
-// its overflow sketch — an exact merge (§2.3), so the data keeps
-// counting toward every roll-up that includes overflow; only its
-// per-key granularity is gone — removes it from the index, and frees
-// the slot. A windowed victim first expires any intervals older than
-// the ring retains, then merges its *entire remaining ring* — every
-// retained interval, not just the current one — so eviction never loses
-// retained data (it only freezes its age: overflow is unwindowed).
+// its overflow ring — exact merges (§2.3), so the data keeps counting
+// toward every roll-up that includes overflow; only its per-key
+// granularity is gone — removes it from the index, and frees the slot.
+// The victim first expires any intervals older than the ring retains;
+// each remaining interval then merges into the overflow slot of the
+// same generation, so evicted data keeps its age and expires on
+// schedule.
 func (m *SketchMap) evictLocked(seg *segment, gen uint64) error {
 	back := seg.lru.Back()
 	if back == nil {
 		return nil
 	}
 	victim := back.Value.(*entry)
-	victim.catchUp(gen)
+	victim.ring.Advance(gen, nil)
 	// Fold the victim into overflow before touching any bookkeeping, so
 	// a failed merge leaves it live (and still LRU-back, to be retried by
-	// the next install) instead of dropping retained intervals.
-	if err := m.foldIntoOverflowLocked(seg, victim); err != nil {
+	// the next install). Every slot is a copy of the template, so a
+	// merge can only fail on a corrupted slot.
+	err := window.Zip(&seg.overflow, &victim.ring, func(dst **ddsketch.DDSketch, s *ddsketch.DDSketch) error {
+		if s.IsEmpty() {
+			return nil // leave an unwritten overflow slot unallocated
+		}
+		return m.slot(dst).MergeWith(s)
+	})
+	if err != nil {
 		return err
 	}
 	seg.lru.Remove(back)
@@ -585,33 +481,6 @@ func (m *SketchMap) evictLocked(seg *segment, gen uint64) error {
 	m.live.Add(-1)
 	m.evicted.Add(1)
 	return nil
-}
-
-// foldIntoOverflowLocked merges an entry's retained data into the
-// segment's overflow sketch as one atomic step: a windowed ring is
-// collapsed into a scratch sketch first, so overflow sees a single
-// MergeWith (which validates compatibility before mutating) and a
-// failure part-way through the ring cannot leave some intervals merged
-// and others dropped. Callers must hold the segment lock and have
-// caught the entry up.
-func (m *SketchMap) foldIntoOverflowLocked(seg *segment, e *entry) error {
-	if e.ring == nil {
-		return e.forEachTrailing(0, func(s *ddsketch.DDSketch) error {
-			return seg.overflow.MergeWith(s)
-		})
-	}
-	var scratch *ddsketch.DDSketch
-	err := e.forEachTrailing(0, func(s *ddsketch.DDSketch) error {
-		if scratch == nil {
-			scratch = s.Copy()
-			return nil
-		}
-		return scratch.MergeWith(s)
-	})
-	if err != nil || scratch == nil {
-		return err
-	}
-	return seg.overflow.MergeWith(scratch)
 }
 
 // Rotate advances the registry to the rotation generation containing
@@ -634,9 +503,10 @@ func (m *SketchMap) Rotate() {
 		if m.cfg.decayEvery > 0 {
 			seg.decayToGeneration(gen, m.cfg.decayEvery)
 		}
+		seg.overflow.Advance(gen, nil)
 		for key, e := range seg.entries {
-			e.catchUp(gen)
-			if e.isEmpty() {
+			e.ring.Advance(gen, nil)
+			if e.ring.Idle() {
 				seg.lru.Remove(e.elem)
 				delete(seg.entries, key)
 				seg.indexRemove(key, e)
@@ -652,7 +522,7 @@ func (m *SketchMap) Rotate() {
 // to its trailing `window` intervals on a windowed registry (window ≤ 0
 // or beyond the ring means all retained; unwindowed registries ignore
 // it) — or false if the series is not live (never admitted, evicted, or
-// expired — its data, if any, is in the overflow sketch). Reads do not
+// expired — its data, if any, is in overflow). Reads do not
 // refresh the series' eviction recency; only writes do.
 func (m *SketchMap) Get(ls LabelSet, window int) (ddsketch.Sketch, bool) {
 	if ls.IsZero() {
@@ -667,39 +537,32 @@ func (m *SketchMap) Get(ls LabelSet, window int) (ddsketch.Sketch, bool) {
 	if !ok {
 		return nil, false
 	}
-	e.catchUp(gen)
-	if e.ring == nil {
-		return e.sk.Snapshot(), true
+	e.ring.Advance(gen, nil)
+	if window <= 0 {
+		window = math.MaxInt // every retained interval; Trailing clamps
 	}
 	merged := m.proto.Copy()
 	// Same mapping lineage by construction; under uniform collapse the
 	// merge reconciles the slots' independent epochs, so it cannot fail.
-	_ = e.forEachTrailing(window, func(s *ddsketch.DDSketch) error {
-		return merged.MergeWith(s)
-	})
+	_ = e.ring.Trailing(window, mergeInto(merged))
 	return merged, true
 }
 
-// Overflow returns a merged snapshot of the overflow sketches: all
-// pre-admission values plus every evicted series. It answers like any
-// other sketch (and is empty when gating and the budget never fired).
+// Overflow returns a merged snapshot of the overflow rings: every
+// retained interval of pre-admission values and evicted series. It
+// answers like any other sketch (and is empty when gating and the
+// budget never fired).
 func (m *SketchMap) Overflow() (*ddsketch.DDSketch, error) {
-	var acc *ddsketch.DDSketch
+	gen := m.generation()
+	acc := m.proto.Copy()
 	for _, seg := range m.segs {
 		seg.mu.Lock()
-		if seg.overflow.Count() > 0 {
-			snap := seg.overflow.Snapshot()
-			if acc == nil {
-				acc = snap
-			} else if err := acc.MergeWith(snap); err != nil {
-				seg.mu.Unlock()
-				return nil, err
-			}
-		}
+		seg.overflow.Advance(gen, nil)
+		err := seg.overflow.Trailing(seg.overflow.Len(), mergeInto(acc))
 		seg.mu.Unlock()
-	}
-	if acc == nil {
-		return m.emptySnapshot()
+		if err != nil {
+			return nil, err
+		}
 	}
 	return acc, nil
 }
@@ -714,13 +577,11 @@ func (m *SketchMap) Overflow() (*ddsketch.DDSketch, error) {
 // segment walks the smallest posting list among the filter's
 // conditions instead of scanning every live entry, so a selective
 // roll-up costs O(candidates), not O(live keys). The match-all filter
-// "*" keeps the scan path and additionally folds in the overflow
-// sketch — overflowed values carry no labels to match, so "*" (and
-// only "*") still accounts for them, which is what makes
-// RollUp(MatchAll(), 0) equivalent to a single unkeyed sketch over the
-// whole stream. Note the overflow sketch is unwindowed: data evicted
-// from a windowed series stops aging, so a match-all roll-up over a
-// trailing window still includes all of overflow.
+// "*" keeps the scan path and additionally folds in the overflow ring
+// over the same trailing window — overflowed values carry no labels to
+// match, so "*" (and only "*") still accounts for them, which is what
+// makes RollUp(MatchAll(), k) equivalent to a single unkeyed sketch
+// over the stream's trailing k intervals.
 //
 // Merging follows a fixed order (segments in order, keys sorted within
 // each), so equal registry contents answer bit-identically regardless
@@ -740,26 +601,19 @@ func (m *SketchMap) RollUpScan(f Filter, window int) (*ddsketch.DDSketch, int, e
 }
 
 func (m *SketchMap) rollUp(f Filter, window int, useIndex bool) (*ddsketch.DDSketch, int, error) {
+	if window <= 0 {
+		window = math.MaxInt // every retained interval; Trailing clamps
+	}
 	gen := m.generation()
 	m.noteGeneration(gen)
-	var acc *ddsketch.DDSketch
+	acc := m.proto.Copy()
+	merge := mergeInto(acc)
 	matched := 0
-	merge := func(s *ddsketch.DDSketch) error {
-		if acc == nil {
-			acc = s.Copy()
-			return nil
-		}
-		return acc.MergeWith(s)
-	}
 	for _, seg := range m.segs {
 		seg.mu.Lock()
-		if f.MatchesAll() && seg.overflow.Count() > 0 {
-			if plain, ok := seg.overflow.(*ddsketch.DDSketch); ok {
-				if err := merge(plain); err != nil {
-					seg.mu.Unlock()
-					return nil, matched, err
-				}
-			} else if err := merge(seg.overflow.Snapshot()); err != nil {
+		if f.MatchesAll() {
+			seg.overflow.Advance(gen, nil)
+			if err := seg.overflow.Trailing(window, merge); err != nil {
 				seg.mu.Unlock()
 				return nil, matched, err
 			}
@@ -776,20 +630,13 @@ func (m *SketchMap) rollUp(f Filter, window int, useIndex bool) (*ddsketch.DDSke
 				continue
 			}
 			matched++
-			e.catchUp(gen)
-			if err := e.forEachTrailing(window, merge); err != nil {
+			e.ring.Advance(gen, nil)
+			if err := e.ring.Trailing(window, merge); err != nil {
 				seg.mu.Unlock()
 				return nil, matched, err
 			}
 		}
 		seg.mu.Unlock()
-	}
-	if acc == nil {
-		empty, err := m.emptySnapshot()
-		if err != nil {
-			return nil, matched, err
-		}
-		return empty, matched, nil
 	}
 	return acc, matched, nil
 }
@@ -806,19 +653,6 @@ func (m *SketchMap) RollUpSummary(f Filter, window int, qs ...float64) (ddsketch
 	}
 	summary, err := sketch.Summary(qs...)
 	return summary, matched, err
-}
-
-// emptySnapshot builds an empty plain sketch from the template, the
-// shape roll-ups with no matches return.
-func (m *SketchMap) emptySnapshot() (*ddsketch.DDSketch, error) {
-	if m.proto != nil {
-		return m.proto.Copy(), nil
-	}
-	sk, err := m.newSketch()
-	if err != nil {
-		return nil, err
-	}
-	return sk.Snapshot(), nil
 }
 
 // Stats is a point-in-time view of the registry's counters and
@@ -850,15 +684,15 @@ type Stats struct {
 	// OverflowedValues counts pre-admission value insertions routed to
 	// overflow by the admission gate.
 	OverflowedValues uint64 `json:"overflowed_values"`
-	// OverflowWeight is the total weight currently held by the overflow
-	// sketches (pre-admission values plus evicted series).
+	// OverflowWeight is the total weight the overflow rings still retain
+	// (pre-admission values plus evicted series).
 	OverflowWeight float64 `json:"overflow_weight"`
 	// IndexPostings is the number of distinct posting lists in the
 	// inverted label index (exact name=value lists plus name-presence
 	// lists, summed over segments).
 	IndexPostings int `json:"index_postings"`
 	// SizeBytes estimates the registry's total in-memory footprint:
-	// per-key sketches, overflow sketches, admission sketches, the
+	// per-key rings, overflow rings, admission sketches, the
 	// inverted index, and per-series bookkeeping, summed over segments.
 	SizeBytes int `json:"size_bytes"`
 }
@@ -866,22 +700,6 @@ type Stats struct {
 // LiveKeys returns the number of series currently holding their own
 // sketch.
 func (m *SketchMap) LiveKeys() int { return int(m.live.Load()) }
-
-// entrySizeBytesLocked estimates one series' footprint: its sketch (or
-// every allocated ring slot), key, and bookkeeping overhead.
-func entrySizeBytesLocked(key string, e *entry) int {
-	total := len(key) + entryOverhead
-	if e.ring == nil {
-		return total + sketchSizeBytes(e.sk)
-	}
-	total += 24 * len(e.ring) // ring header + slot pointers
-	for _, s := range e.ring {
-		if s != nil {
-			total += s.SizeBytes()
-		}
-	}
-	return total
-}
 
 // indexSizeBytesLocked estimates a segment's inverted-index footprint.
 func indexSizeBytesLocked(seg *segment) int {
@@ -897,7 +715,8 @@ func indexSizeBytesLocked(seg *segment) int {
 
 // Stats returns the registry's counters and estimated footprint.
 func (m *SketchMap) Stats() Stats {
-	m.noteGeneration(m.generation())
+	gen := m.generation()
+	m.noteGeneration(gen)
 	stats := Stats{
 		LiveKeys:         m.LiveKeys(),
 		MaxSketches:      m.cfg.maxSketches,
@@ -914,18 +733,21 @@ func (m *SketchMap) Stats() Stats {
 	}
 	for _, seg := range m.segs {
 		seg.mu.Lock()
-		stats.OverflowWeight += seg.overflow.Count()
+		seg.overflow.Advance(gen, nil)
+		weight, size := ringStats(&seg.overflow)
+		stats.OverflowWeight += weight
 		stats.IndexPostings += len(seg.exact) + len(seg.present)
-		stats.SizeBytes += seg.cm.sizeBytes() + sketchSizeBytes(seg.overflow) + indexSizeBytesLocked(seg)
+		stats.SizeBytes += seg.cm.sizeBytes() + size + indexSizeBytesLocked(seg)
 		for key, e := range seg.entries {
-			stats.SizeBytes += entrySizeBytesLocked(key, e)
+			_, size := ringStats(&e.ring)
+			stats.SizeBytes += len(key) + entryOverhead + size
 		}
 		seg.mu.Unlock()
 	}
 	return stats
 }
 
-// Clear empties the registry — all series, overflow sketches, admission
+// Clear empties the registry — all series, overflow rings, admission
 // state, the inverted index, and counters — keeping its configuration.
 // The rotation grid keeps its anchor: generations keep counting from
 // construction time.
@@ -948,14 +770,4 @@ func (m *SketchMap) Clear() {
 	m.evicted.Store(0)
 	m.expired.Store(0)
 	m.overflowed.Store(0)
-}
-
-// sketchSizeBytes estimates a sketch's footprint: every variant with a
-// native SizeBytes reports directly; anything else is measured through
-// a snapshot.
-func sketchSizeBytes(sk ddsketch.Sketch) int {
-	if s, ok := sk.(interface{ SizeBytes() int }); ok {
-		return s.SizeBytes()
-	}
-	return sk.Snapshot().SizeBytes()
 }

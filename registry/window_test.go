@@ -18,6 +18,7 @@ import (
 
 	"github.com/ddsketch-go/ddsketch"
 	"github.com/ddsketch-go/ddsketch/internal/datagen"
+	"github.com/ddsketch-go/ddsketch/internal/window"
 )
 
 // fakeClock is a concurrency-safe manual clock shared between a
@@ -43,6 +44,14 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// jumpYears moves the clock far into the future in one step, past what
+// Advance's time.Duration parameter can express (about 292 years).
+func (c *fakeClock) jumpYears(years int) {
+	c.mu.Lock()
+	c.t = c.t.AddDate(years, 0, 0)
+	c.mu.Unlock()
+}
+
 // TestConformanceRegistryWindowedMatchesTimeWindowed is the windowed
 // acceptance identity: a keyed registry under WithKeyWindow, fed a
 // stream spread across many keys with the clock advancing, must answer
@@ -51,6 +60,30 @@ func (c *fakeClock) Advance(d time.Duration) {
 // same stream — exact count, and quantiles bucket-for-bucket (all
 // merges are exact, so within α follows a fortiori).
 func TestConformanceRegistryWindowedMatchesTimeWindowed(t *testing.T) {
+	checkWindowedIdentity(t, 1_000, 0)
+}
+
+// TestConformanceRegistryWindowedEvictionAdmissionMatchesTimeWindowed
+// is the same identity with a budget below the key count and an
+// admission threshold above 1, so values keep landing in overflow both
+// before admission and through eviction. Each overflow ring sits on the
+// registry's grid and eviction merges every interval into the overflow
+// slot of the same age, so every trailing window must still answer
+// exactly like the unkeyed ring: overflow ages out on schedule.
+func TestConformanceRegistryWindowedEvictionAdmissionMatchesTimeWindowed(t *testing.T) {
+	m := checkWindowedIdentity(t, 10, 3)
+	if st := m.Stats(); st.Evicted == 0 || st.OverflowedValues == 0 {
+		t.Fatalf("evicted/overflowed = %d/%d, want both > 0", st.Evicted, st.OverflowedValues)
+	}
+}
+
+// checkWindowedIdentity feeds one stream spread over 25 keys and five
+// intervals to a windowed registry with the given budget and admission
+// threshold and to an unkeyed TimeWindowed, then requires every
+// match-all roll-up (trailing 1..windows, and 0) to answer like the
+// unkeyed ring's trailing window. It returns the registry.
+func checkWindowedIdentity(t *testing.T, budget int, threshold float64) *SketchMap {
+	t.Helper()
 	const (
 		windows = 4
 		nKeys   = 25
@@ -60,8 +93,8 @@ func TestConformanceRegistryWindowedMatchesTimeWindowed(t *testing.T) {
 	clock := newFakeClock()
 	m, err := New(
 		WithKeyWindow(windows, interval, clock.Now),
-		WithAdmissionThreshold(0),
-		WithMaxSketches(1_000),
+		WithAdmissionThreshold(threshold),
+		WithMaxSketches(budget),
 		WithSketchOptions(
 			ddsketch.WithRelativeAccuracy(0.01),
 			ddsketch.WithMaxBins(2048),
@@ -121,6 +154,7 @@ func TestConformanceRegistryWindowedMatchesTimeWindowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameGlobal(t, all, tw.Trailing(windows))
+	return m
 }
 
 // TestConformanceRegistryWindowedConcurrent drives concurrent windowed
@@ -258,9 +292,11 @@ func TestRegistryRotationDrivenAdmissionDecay(t *testing.T) {
 	if m.LiveKeys() != 0 {
 		t.Fatalf("formerly-hot key was admitted from decayed weight (LiveKeys = %d)", m.LiveKeys())
 	}
-	// Nothing was dropped: every pre-admission value is in overflow.
-	if st := m.Stats(); st.OverflowWeight != 15+6 {
-		t.Errorf("overflow weight = %g, want 21", st.OverflowWeight)
+	// Nothing was dropped: every pre-admission value still inside the
+	// window (one unit in each of generations 5–7; the clock is at 8) is
+	// in overflow. Older ones aged out with the overflow ring.
+	if st := m.Stats(); st.OverflowWeight != 3 {
+		t.Errorf("overflow weight = %g, want 3", st.OverflowWeight)
 	}
 	// A real burst still clears the gate immediately.
 	if err := m.AddWithCount(hot, 1, 20); err != nil {
@@ -338,14 +374,15 @@ func TestRegistryWindowedEvictionMergesFullRing(t *testing.T) {
 	if sum, _ := rollup.Sum(); sum != 45 {
 		t.Errorf("match-all sum = %g, want 45", sum)
 	}
-	// The overflow sketch is unwindowed: a trailing-1 match-all still
-	// includes all of it (documented caveat of evicting windowed data).
+	// Each evicted interval keeps its age in the overflow ring: a
+	// trailing-1 match-all sees only the current interval's values (a's
+	// 5, b's 10, c's 20).
 	r1, _, err := m.RollUp(MatchAll(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Count() != 7 {
-		t.Errorf("trailing-1 match-all count = %g, want 7 (overflow never expires)", r1.Count())
+	if r1.Count() != 3 {
+		t.Errorf("trailing-1 match-all count = %g, want 3 (overflow ages with the ring)", r1.Count())
 	}
 
 	// Intervals that expired before the eviction are NOT resurrected:
@@ -499,9 +536,9 @@ func TestRegistryGetTrailingWindow(t *testing.T) {
 }
 
 // TestRegistryWindowedTemplateValidation: WithKeyWindow rejects bad
-// ring parameters, and New rejects templates the per-key rings cannot
-// honor (anything that is not a plain sketch — the rings provide their
-// own windowing and run under segment locks).
+// ring parameters, and New rejects templates the rings cannot honor
+// (anything that is not a plain sketch — the rings provide their own
+// windowing and run under segment locks), windowed or not.
 func TestRegistryWindowedTemplateValidation(t *testing.T) {
 	if _, err := New(WithKeyWindow(0, time.Second, nil)); !errors.Is(err, ErrInvalidOption) {
 		t.Errorf("windows=0: err = %v, want ErrInvalidOption", err)
@@ -520,8 +557,8 @@ func TestRegistryWindowedTemplateValidation(t *testing.T) {
 			t.Errorf("template %s: err = %v, want ErrInvalidOption", name, err)
 		}
 	}
-	// A plain template (with collapse, even) is fine, and the same
-	// template stays legal on an unwindowed registry with windowing.
+	// A plain template (with collapse, even) is fine, and an unwindowed
+	// registry rejects a non-plain template too.
 	if _, err := New(
 		WithKeyWindow(4, time.Second, nil),
 		WithSketchOptions(ddsketch.WithRelativeAccuracy(0.01), ddsketch.WithUniformCollapse(128)),
@@ -530,8 +567,8 @@ func TestRegistryWindowedTemplateValidation(t *testing.T) {
 	}
 	if _, err := New(WithSketchOptions(
 		ddsketch.WithRelativeAccuracy(0.01), ddsketch.WithWindow(time.Second, 2),
-	)); err != nil {
-		t.Errorf("windowed template on an unwindowed registry rejected: %v", err)
+	)); !errors.Is(err, ErrInvalidOption) {
+		t.Errorf("windowed template on an unwindowed registry: err = %v, want ErrInvalidOption", err)
 	}
 }
 
@@ -638,6 +675,41 @@ func TestRegistryStaleGenerationKeepsRing(t *testing.T) {
 	}
 }
 
+// TestRegistryFarFutureClockJump mirrors TestTimeWindowedFarFutureClockJump
+// on the registry: after a clock jump too long for time.Duration, the
+// rotation grid must keep counting generations, so a series written
+// after the jump still ages out on schedule instead of freezing at a
+// saturated generation.
+func TestRegistryFarFutureClockJump(t *testing.T) {
+	clock := newFakeClock()
+	m, err := New(
+		WithKeyWindow(3, time.Minute, clock.Now),
+		WithAdmissionThreshold(0),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustLabelSet(t, "k=a")
+	if err := m.Add(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	clock.jumpYears(1000)
+	if err := m.Add(a, 42); err != nil {
+		t.Fatal(err)
+	}
+	if sk, ok := m.Get(a, 0); !ok || sk.Count() != 1 {
+		t.Fatalf("after the jump: ok=%v count=%g, want true/1 (pre-jump data expired, post-jump write kept)", ok, sk.Count())
+	}
+	clock.Advance(10 * time.Minute)
+	m.Rotate()
+	if m.LiveKeys() != 0 {
+		t.Fatalf("LiveKeys = %d ten intervals after the post-jump write, want 0", m.LiveKeys())
+	}
+	if _, ok := m.Get(a, 0); ok {
+		t.Error("series still live ten intervals after its last write")
+	}
+}
+
 // TestRegistryStaleGenerationKeepsAdmissionState: the rotation-driven
 // admission decay has the same boundary hazard — an admission check
 // holding a stale generation must not underflow the due-halvings count
@@ -678,7 +750,7 @@ func TestRegistryStaleGenerationKeepsAdmissionState(t *testing.T) {
 // TestRegistryEvictMergeFailureKeepsVictim: if folding an eviction
 // victim into overflow fails, the victim must stay live with all its
 // retained data — eviction never loses data, even on the error path.
-// Forced here by sabotaging a segment's overflow sketch with an
+// Forced here by sabotaging a segment's overflow ring with slots of an
 // incompatible mapping (impossible through the public API, where every
 // sketch shares the template's lineage).
 func TestRegistryEvictMergeFailureKeepsVictim(t *testing.T) {
@@ -698,11 +770,12 @@ func TestRegistryEvictMergeFailureKeepsVictim(t *testing.T) {
 	}
 	seg := m.segs[0]
 	goodOverflow := seg.overflow
-	badOverflow, err := ddsketch.NewSketch(ddsketch.WithRelativeAccuracy(0.2))
+	bad, err := ddsketch.NewSketch(ddsketch.WithRelativeAccuracy(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg.overflow = badOverflow
+	badSlot := bad.(*ddsketch.DDSketch)
+	seg.overflow = window.NewRing([]*ddsketch.DDSketch{badSlot, badSlot.Copy()}, 0)
 
 	// Installing b exceeds the budget and tries to evict a; the merge
 	// into the sabotaged overflow fails and must surface as an error

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/ddsketch-go/ddsketch/internal/window"
 )
 
 // TimeWindowed aggregates values into a ring of fixed-duration interval
@@ -31,23 +33,17 @@ import (
 // periodically fold its Flush output into the window via MergeWith —
 // cmd/ddserver wires exactly that.
 type TimeWindowed struct {
-	mu       sync.Mutex
-	interval time.Duration
-	ring     []*DDSketch // ring[head] is the current interval
-	head     int
-	start    time.Time // start of the current interval
-	now      func() time.Time
-	proto    *DDSketch // empty configuration template for merged results
+	mu    sync.Mutex
+	grid  window.Grid // anchored at construction
+	ring  window.Ring[*DDSketch]
+	now   func() time.Time
+	proto *DDSketch // empty configuration template for merged results
 
 	// onRotate, when set, receives a deep copy of each interval that
 	// closes holding data — the library half of the ship-on-rotation
 	// agent loop. See SetRotateHook.
 	onRotate func(closed *DDSketch)
 }
-
-// maxDuration is the saturation value time.Time.Sub returns when the
-// true gap between two times overflows time.Duration (about 292 years).
-const maxDuration time.Duration = 1<<63 - 1
 
 // NewTimeWindowed returns an aggregator keeping `windows` intervals of
 // the given duration, all configured like prototype (which it takes
@@ -67,68 +63,37 @@ func NewTimeWindowedWithClock(prototype *DDSketch, interval time.Duration, windo
 		return nil, fmt.Errorf("ddsketch: window count must be at least 1, got %d", windows)
 	}
 	w := &TimeWindowed{
-		interval: interval,
-		ring:     make([]*DDSketch, windows),
-		now:      now,
-		proto:    prototype.Copy(),
-		start:    now(),
+		grid:  window.NewGrid(now(), interval),
+		now:   now,
+		proto: prototype.Copy(),
 	}
 	w.proto.Clear()
-	w.ring[0] = prototype
+	slots := make([]*DDSketch, windows)
+	slots[0] = prototype
 	for i := 1; i < windows; i++ {
-		w.ring[i] = w.proto.Copy()
+		slots[i] = w.proto.Copy()
 	}
+	w.ring = window.NewRing(slots, 0)
 	return w, nil
 }
 
 // Interval returns the duration of one window slot.
-func (w *TimeWindowed) Interval() time.Duration { return w.interval }
+func (w *TimeWindowed) Interval() time.Duration { return w.grid.Interval() }
 
 // Windows returns the number of retained interval slots.
-func (w *TimeWindowed) Windows() int { return len(w.ring) }
+func (w *TimeWindowed) Windows() int { return w.ring.Len() }
 
-// advance rotates the ring to the interval containing now. Each step
-// moves the head and clears the sketch being reused; after an idle gap
-// longer than the whole ring, every slot is cleared at most once.
-// Callers must hold w.mu.
+// advance rotates the ring to the interval containing now, handing a
+// closing interval that holds data to the rotate hook before its slot
+// can be cleared or reused. Callers must hold w.mu.
 func (w *TimeWindowed) advance() {
-	elapsed := w.now().Sub(w.start)
-	if elapsed < w.interval {
-		return
-	}
-	// The current interval is over: hand it to the rotate hook before
-	// any slot is cleared or reused. Every older slot already fired its
-	// hook when it closed, so exactly one interval closes per rotation.
-	if w.onRotate != nil && !w.ring[w.head].IsEmpty() {
-		w.onRotate(w.ring[w.head].Copy())
-	}
-	steps := int64(elapsed / w.interval)
-	if n := int64(len(w.ring)); steps >= n {
-		// The entire ring expired while idle: every slot clears exactly
-		// once, identically for any steps ≥ n, so clamp here — before
-		// any duration arithmetic scaled by steps.
-		for _, s := range w.ring {
-			s.Clear()
+	// Every older slot already fired the hook when it closed, so exactly
+	// one interval closes per rotation.
+	w.ring.Advance(w.grid.Gen(w.now()), func(head *DDSketch) {
+		if w.onRotate != nil && !head.IsEmpty() {
+			w.onRotate(head.Copy())
 		}
-		if elapsed == maxDuration {
-			// The gap overflowed time.Duration (Sub saturates), so the
-			// distance to the original grid anchor is unrecoverable;
-			// re-anchoring w.start a saturated step at a time would leave
-			// it decades behind now and make the next advance expire
-			// freshly added data. Restart the grid at the present reading.
-			w.start = w.now()
-		} else {
-			// Equal to steps*interval, computed without the multiply.
-			w.start = w.start.Add(elapsed - elapsed%w.interval)
-		}
-		return
-	}
-	// steps < len(ring) here, so the product cannot overflow.
-	w.start = w.start.Add(time.Duration(steps) * w.interval)
-	for ; steps > 0; steps-- {
-		w.head = (w.head + 1) % len(w.ring)
-		w.ring[w.head].Clear()
-	}
+	})
 }
 
 // SetRotateHook registers fn to receive a deep copy of each interval
@@ -168,7 +133,7 @@ func (w *TimeWindowed) AddWithCount(value, count float64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.advance()
-	return w.ring[w.head].AddWithCount(value, count)
+	return (*w.ring.Head()).AddWithCount(value, count)
 }
 
 // AddBatch inserts every value into the current interval with a single
@@ -184,7 +149,7 @@ func (w *TimeWindowed) AddBatchWithCount(values []float64, count float64) error 
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.advance()
-	return w.ring[w.head].AddBatchWithCount(values, count)
+	return (*w.ring.Head()).AddBatchWithCount(values, count)
 }
 
 // MergeWith folds other into the current interval — the aggregator-side
@@ -194,7 +159,7 @@ func (w *TimeWindowed) MergeWith(other *DDSketch) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.advance()
-	return w.ring[w.head].MergeWith(other)
+	return (*w.ring.Head()).MergeWith(other)
 }
 
 // Trailing returns a merged deep copy of the last k intervals, newest
@@ -202,28 +167,19 @@ func (w *TimeWindowed) MergeWith(other *DDSketch) error {
 // is independent of the ring: callers can query or encode it without
 // holding up writers.
 func (w *TimeWindowed) Trailing(k int) *DDSketch {
-	if k < 1 {
-		k = 1
-	}
-	if k > len(w.ring) {
-		k = len(w.ring)
-	}
 	merged := w.proto.Copy()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.advance()
-	for i := 0; i < k; i++ {
-		slot := (w.head - i + len(w.ring)) % len(w.ring)
-		// Same mapping lineage by construction: slots share the proto's
-		// base mapping, and under uniform collapse the merge reconciles
-		// their independent epochs, so this merge cannot fail.
-		_ = merged.MergeWith(w.ring[slot])
-	}
+	// Same mapping lineage by construction: slots share the proto's base
+	// mapping, and under uniform collapse the merge reconciles their
+	// independent epochs, so this merge cannot fail.
+	_ = w.ring.Trailing(k, func(s *DDSketch) error { return merged.MergeWith(s) })
 	return merged
 }
 
 // Snapshot returns a merged deep copy of every retained interval.
-func (w *TimeWindowed) Snapshot() *DDSketch { return w.Trailing(len(w.ring)) }
+func (w *TimeWindowed) Snapshot() *DDSketch { return w.Trailing(w.ring.Len()) }
 
 // Summary returns count, sum, min, max, avg, and the requested
 // quantiles over all retained intervals in exactly one merge pass over
@@ -238,26 +194,23 @@ func (w *TimeWindowed) Count() float64 {
 	defer w.mu.Unlock()
 	w.advance()
 	total := 0.0
-	for _, s := range w.ring {
+	_ = w.ring.Trailing(w.ring.Len(), func(s *DDSketch) error {
 		total += s.Count()
-	}
+		return nil
+	})
 	return total
 }
 
-// Clear empties every interval and restarts the current one at the
-// clock's present reading.
+// Clear empties every interval. The grid keeps its anchor: the current
+// interval is still the one containing the clock's present reading.
 func (w *TimeWindowed) Clear() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, s := range w.ring {
-		s.Clear()
-	}
-	w.head = 0
-	w.start = w.now()
+	w.ring.Clear()
 }
 
 // String implements fmt.Stringer.
 func (w *TimeWindowed) String() string {
 	return fmt.Sprintf("TimeWindowed(interval=%v, windows=%d, count=%g)",
-		w.interval, len(w.ring), w.Count())
+		w.Interval(), w.Windows(), w.Count())
 }

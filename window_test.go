@@ -394,6 +394,56 @@ func TestTimeWindowedFarFutureClockJump(t *testing.T) {
 	}
 }
 
+// TestTimeWindowedStaleClockKeepsRing: a clock reading behind the ring's
+// current interval (a clock stepped back) is stale. It must neither
+// rotate the ring nor fire the rotate hook nor lose data; writes land
+// in the current interval, and rotation resumes once the clock passes
+// that interval — the guard TestRegistryStaleGenerationKeepsRing pins
+// on the registry.
+func TestTimeWindowedStaleClockKeepsRing(t *testing.T) {
+	w, clock := newWindowedForTest(t, time.Second, 3)
+	closed := 0
+	w.SetRotateHook(func(*ddsketch.DDSketch) { closed++ })
+	if err := w.Add(1); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Second) // interval 1
+	if err := w.Add(2); err != nil {
+		t.Fatal(err)
+	}
+	if closed != 1 {
+		t.Fatalf("hooks after the first rotation = %d, want 1", closed)
+	}
+
+	clock.Advance(-time.Second) // stale reading: interval 0 again
+	w.Rotate()
+	if err := w.Add(3); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Count(); got != 3 {
+		t.Fatalf("count after stale operations = %g, want 3", got)
+	}
+	if got := w.Trailing(1).Count(); got != 2 {
+		t.Fatalf("current interval count after a stale write = %g, want 2", got)
+	}
+	if closed != 1 {
+		t.Fatalf("hooks after stale operations = %d, want 1", closed)
+	}
+
+	clock.Advance(time.Second) // back to interval 1: still current
+	if got := w.Trailing(1).Count(); got != 2 {
+		t.Fatalf("interval 1 count once the clock caught up = %g, want 2", got)
+	}
+	clock.Advance(time.Second) // interval 2 closes interval 1 once
+	w.Rotate()
+	if closed != 2 {
+		t.Fatalf("hooks after interval 1 closed = %d, want 2", closed)
+	}
+	if got := w.Count(); got != 3 {
+		t.Fatalf("count after the next rotation = %g, want 3", got)
+	}
+}
+
 // TestTimeWindowedRotateHook: the hook receives a deep copy of exactly
 // the intervals that close non-empty, once each, in closing order —
 // whether the rotation is triggered by a write, a read, or an explicit

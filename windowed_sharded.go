@@ -174,7 +174,7 @@ func (ws *WindowedSharded) Count() float64 {
 	return ws.ring.Count()
 }
 
-// Clear empties both layers and restarts the current interval.
+// Clear empties both layers. The window grid keeps its anchor.
 func (ws *WindowedSharded) Clear() {
 	ws.live.Clear()
 	ws.ring.Clear()
