@@ -33,10 +33,15 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
+	"unsafe"
 
 	"github.com/ddsketch-go/ddsketch"
 	"github.com/ddsketch-go/ddsketch/mapping"
@@ -365,18 +370,52 @@ func methodNotAllowed(w http.ResponseWriter, allow string) {
 	writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s required", allow))
 }
 
-// readBody reads a POST body enforcing maxIngestBytes through
-// http.MaxBytesReader — which, unlike a bare LimitReader, also stops the
-// server from draining the rest of an oversized upload — writing the
-// error response itself and returning ok=false when the request is
-// unusable.
-func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+// bodyBuf is a request body read into a pooled buffer, together with
+// the pooled slice /values parses it into. Both are overwritten by a
+// later request once released, so nothing may keep a reference into
+// them — a string view, a subslice, the parsed values — after the
+// handler that read them returns.
+type bodyBuf struct {
+	data   []byte
+	values []float64
+}
+
+// bodyPool recycles request buffers. readBody caps a body at
+// maxIngestBytes, so an idle buffer pins a bounded amount of memory,
+// and the pool drops idle buffers across garbage collections.
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// release returns b to the pool; b must not be used afterwards.
+func (b *bodyBuf) release() { bodyPool.Put(b) }
+
+// text views the body as a string without copying. The view is only
+// valid until b is released.
+func (b *bodyBuf) text() string { return unsafe.String(unsafe.SliceData(b.data), len(b.data)) }
+
+// readBody reads a POST body into a pooled buffer, enforcing
+// maxIngestBytes through http.MaxBytesReader — which, unlike a bare
+// LimitReader, also stops the server from draining the rest of an
+// oversized upload — writing the error response itself and returning
+// ok=false when the request is unusable.
+//
+// The caller must release the buffer when its handler finishes, and
+// nothing may keep a reference into it after that: the next request
+// reuses the memory. Decoders that copy what they read (both sketch
+// codecs do) are safe on it.
+func readBody(w http.ResponseWriter, r *http.Request) (b *bodyBuf, ok bool) {
 	if r.Method != http.MethodPost {
 		methodNotAllowed(w, http.MethodPost)
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+	b = bodyPool.Get().(*bodyBuf)
+	// Room for the declared length (at least io.ReadAll's first 512
+	// bytes) plus the byte that reads EOF, so an honest Content-Length
+	// never regrows the buffer.
+	size := int(min(max(r.ContentLength, 512), maxIngestBytes)) + 1
+	data, err := readAll(http.MaxBytesReader(w, r.Body, maxIngestBytes), slices.Grow(b.data[:0], size))
+	b.data = data
 	if err != nil {
+		b.release()
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -386,7 +425,25 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 		writeError(w, http.StatusBadRequest, err)
 		return nil, false
 	}
-	return body, true
+	return b, true
+}
+
+// readAll is io.ReadAll appending to a caller-owned buffer: it reads r
+// until EOF, growing buf only when it is full.
+func readAll(r io.Reader, buf []byte) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)] // let append pick the growth
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // handleIngest accepts a binary-encoded sketch (the output of Encode or
@@ -400,10 +457,12 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 // type falls back to the -wire-format setting — "auto" (the default)
 // sniffs the payload's leading bytes, a codec name pins the format.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	b, ok := readBody(w, r)
 	if !ok {
 		return
 	}
+	defer b.release()
+	body := b.data
 	codec, status, err := s.ingestCodec(r.Header.Get("Content-Type"), body)
 	if err != nil {
 		writeError(w, status, err)
@@ -547,17 +606,24 @@ func exportCodec(r *http.Request) (ddsketch.Codec, int, error) {
 // AddBatch, which takes each shard lock at most once for the whole
 // batch instead of once per value.
 //
+// The body is parsed in place: fields are read off a string view of the
+// pooled buffer readBody filled, and the values go into the slice
+// pooled with it. Both die with the handler — the sketch and registry
+// copy what they record, label sets copy their key, and errors copy the
+// field they name — so nothing references the buffer once it returns.
+//
 // With a series key — ?key=service=api,endpoint=/login as a query
 // parameter, or a first body line of the form key=service=api,… — the
 // batch is instead recorded under that series in the keyed registry,
 // where it is admission-gated, budget-evicted, and queryable through
 // GET /summary?filter=… .
 func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	b, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	payload := string(body)
+	defer b.release()
+	payload := b.text()
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		// Key in the body: a first line "key=<label set>", values after.
@@ -568,21 +634,13 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 			key = strings.TrimSuffix(key, "\r")
 		}
 	}
-	fields := strings.Fields(payload)
-	values := make([]float64, 0, len(fields))
-	for _, field := range fields {
-		v, err := strconv.ParseFloat(field, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing %q: %w", field, err))
-			return
-		}
-		if math.IsNaN(v) || math.Abs(v) > s.maxIndexable {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("value %q: %w", field, ddsketch.ErrValueOutOfRange))
-			return
-		}
-		values = append(values, v)
+	var err error
+	b.values, err = parseValues(b.values[:0], payload, s.maxIndexable)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
+	values := b.values
 	if key != "" {
 		ls, err := registry.ParseLabelSet(key)
 		if err != nil {
@@ -610,6 +668,78 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 	}
 	s.valuesIngested.Add(int64(len(values)))
 	writeJSON(w, http.StatusOK, map[string]int{"accepted": len(values)})
+}
+
+// parseValues appends the value of every whitespace-separated field of
+// payload to dst. A field that does not parse as a float, or parses to
+// NaN or to a magnitude beyond maxIndexable, fails the whole payload
+// with an error naming it.
+func parseValues(dst []float64, payload string, maxIndexable float64) ([]float64, error) {
+	for i := 0; ; {
+		var field string
+		if field, i = nextField(payload, i); field == "" {
+			return dst, nil
+		}
+		v, err := strconv.ParseFloat(field, 64)
+		if err == nil && !math.IsNaN(v) && math.Abs(v) <= maxIndexable {
+			dst = append(dst, v)
+			continue
+		}
+		// payload may view a pooled buffer: no error may point into it.
+		field = strings.Clone(field)
+		if err != nil {
+			return dst, fmt.Errorf("parsing %q: %w", field, err)
+		}
+		return dst, fmt.Errorf("value %q: %w", field, ddsketch.ErrValueOutOfRange)
+	}
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts, as in
+// strings.Fields.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextField returns the first field of s at or after byte i and the
+// index just past it, or "" when only white space remains. Fields split
+// exactly as strings.Fields splits them: ASCII bytes are looked up in
+// asciiSpace, and anything from 0x80 up is decoded and tested with
+// unicode.IsSpace — so U+0085, U+00A0 and U+3000 separate fields, while
+// an invalid byte (decoded as U+FFFD) stays inside its field.
+func nextField(s string, i int) (field string, next int) {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if width, space := decodeSpace(s[i:]); space {
+			i += width
+		} else {
+			break
+		}
+	}
+	start := i
+	for i < len(s) {
+		if c := s[i]; c-'!' < utf8.RuneSelf-'!' {
+			i++ // '!' through DEL, every byte of a number: one compare
+		} else if c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			i++
+		} else if width, space := decodeSpace(s[i:]); !space {
+			i += width
+		} else {
+			break
+		}
+	}
+	return s[start:i], i
+}
+
+// decodeSpace decodes the rune s starts with and returns its width and
+// whether it is white space.
+func decodeSpace(s string) (width int, space bool) {
+	r, width := utf8.DecodeRuneInString(s)
+	return width, unicode.IsSpace(r)
 }
 
 // quantileResult is one entry of a /quantile response.

@@ -157,7 +157,19 @@ func NewLabelSet(labels ...Label) (LabelSet, error) {
 	if b.Len() > MaxEncodedLength {
 		return LabelSet{}, fmt.Errorf("%w: encoding %d bytes exceeds the %d-byte limit", ErrInvalidLabelSet, b.Len(), MaxEncodedLength)
 	}
-	return LabelSet{labels: sorted, str: b.String()}, nil
+	// Re-point every name and value into the canonical encoding, so the
+	// set never keeps its caller's strings — a whole request body, when
+	// the key was cut from one — alive for the life of a series.
+	str := b.String()
+	off := 0
+	for i := range sorted {
+		l := &sorted[i]
+		l.Name = str[off : off+len(l.Name)]
+		off += len(l.Name) + 1 // '='
+		l.Value = str[off : off+len(l.Value)]
+		off += len(l.Value) + 1 // ','
+	}
+	return LabelSet{labels: sorted, str: str}, nil
 }
 
 // String returns the canonical encoding: pairs sorted by name, joined

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestParseLabelSetCanonicalizes(t *testing.T) {
@@ -111,6 +112,37 @@ func TestNewLabelSetValidates(t *testing.T) {
 	}
 	if (LabelSet{}).IsZero() == false {
 		t.Error("zero LabelSet not IsZero")
+	}
+}
+
+// TestParseLabelSetDoesNotAliasInput: every label name and value of a
+// parsed set lies inside its canonical encoding, never inside the
+// caller's input, so a series keyed from a slice of a request body does
+// not keep that body alive.
+func TestParseLabelSetDoesNotAliasInput(t *testing.T) {
+	body := "key=service=api,endpoint=/login,empty=\n1 2 3 4 5"
+	key, _, _ := strings.Cut(strings.TrimPrefix(body, "key="), "\n")
+	ls, err := ParseLabelSet(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := ls.String()
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(canon)))
+	hi := lo + uintptr(len(canon))
+	inCanon := func(s string) bool {
+		if s == "" {
+			return true // an empty string points nowhere in particular
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return lo <= p && p+uintptr(len(s)) <= hi
+	}
+	for _, l := range ls.Labels() {
+		if !inCanon(l.Name) || !inCanon(l.Value) {
+			t.Errorf("label %q=%q lies outside the canonical encoding %q", l.Name, l.Value, canon)
+		}
+	}
+	if v, ok := ls.Get("endpoint"); !ok || v != "/login" {
+		t.Errorf("Get(endpoint) = %q, %v", v, ok)
 	}
 }
 
