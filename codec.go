@@ -1,9 +1,15 @@
 package ddsketch
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+
+	"github.com/ddsketch-go/ddsketch/encoding"
+	"github.com/ddsketch-go/ddsketch/mapping"
+	"github.com/ddsketch-go/ddsketch/store"
 )
 
 // A Codec is one wire format a sketch can be serialized to and
@@ -170,4 +176,159 @@ func (nativeCodec) Sniff(data []byte) bool {
 
 func (nativeCodec) Encode(s *DDSketch) ([]byte, error) { return s.Encode(), nil }
 
-func (nativeCodec) Decode(data []byte) (*DDSketch, error) { return decodeNative(data) }
+func (nativeCodec) Decode(data []byte) (*DDSketch, error) { return decodeFresh(nativeCodec{}, data) }
+
+// scratchDecoder is implemented by the built-in codecs. decodeInto
+// resets every field of dst.sketch from data — mapping and collapse
+// lineage, store types and bin limits, bins and statistics — and
+// reuses dst's stores and buffers, so that decoding a payload shaped
+// like the previous one allocates nothing. It accepts and rejects
+// exactly the payloads Decode does, with the same errors. After an
+// error dst.sketch is not a usable sketch, but dst may be decoded into
+// again.
+type scratchDecoder interface {
+	decodeInto(dst *scratchSketch, data []byte) error
+}
+
+// scratchSketch is a sketch the built-in codecs decode into, together
+// with the state they keep between payloads.
+type scratchSketch struct {
+	sketch DDSketch
+	// reader is the native decoder's cursor, kept here so that handing
+	// it to the store decoder does not allocate one per payload.
+	reader encoding.Reader
+	// Each codec caches its own mapping, so that a scratch alternating
+	// between native and DataDog payloads keeps both.
+	nativeMapping, ddMapping mappingCache
+	// Each codec keeps its own stores, positive first, so that a
+	// scratch alternating between native payloads (often collapsing
+	// stores) and DataDog ones (always dense) reuses both sets.
+	nativeStores [2]store.Store
+	ddStores     [2]*store.DenseStore
+	// ddFields and ddBins are the DataDog decoder's store bodies and
+	// collected bins, positive store first.
+	ddFields [2][][]byte
+	ddBins   [2][]ddBin
+}
+
+// storeSides names the stores in decoder errors, positive first.
+var storeSides = [2]string{"positive", "negative"}
+
+// decodeFresh decodes data into a new sketch. It borrows a pooled
+// scratch sketch for the decoder's buffers and cached mappings, but
+// decodes into new stores, which the returned sketch owns.
+func decodeFresh(d scratchDecoder, data []byte) (*DDSketch, error) {
+	sc := scratchPool.Get().(*scratchSketch)
+	native, dd := sc.nativeStores, sc.ddStores
+	sc.nativeStores, sc.ddStores = [2]store.Store{}, [2]*store.DenseStore{}
+	err := d.decodeInto(sc, data)
+	s := sc.sketch
+	sc.sketch = DDSketch{}
+	sc.nativeStores, sc.ddStores = native, dd
+	sc.release()
+	if err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// scratchPool holds scratch sketches for mergeEncoded and decodeFresh.
+var scratchPool = sync.Pool{New: func() any { return new(scratchSketch) }}
+
+// mergeEncoded decodes payload with c and merges it into dst. The
+// built-in codecs decode into a pooled scratch sketch; other codecs
+// fall back to their Decode. dst's MergeWith is the only merge, so a
+// rejected payload or a mapping conflict leaves dst unchanged.
+func mergeEncoded(dst Sketch, c Codec, payload []byte) error {
+	d, ok := c.(scratchDecoder)
+	if !ok {
+		other, err := c.Decode(payload)
+		if err != nil {
+			return err
+		}
+		return dst.MergeWith(other)
+	}
+	sc := scratchPool.Get().(*scratchSketch)
+	err := d.decodeInto(sc, payload)
+	if err == nil {
+		err = dst.MergeWith(&sc.sketch)
+	}
+	sc.release()
+	return err
+}
+
+// release returns sc to the pool unless it grew past what an honest
+// payload needs.
+func (sc *scratchSketch) release() {
+	if sc.poolable() {
+		scratchPool.Put(sc)
+	}
+}
+
+// scratchBins is the bin limit a pooled scratch sketch is sized for:
+// the paper's default bound (§2.2), which covers 80 µs to a year at
+// α = 0.01. It is a constant, not a limit read from the payload, which
+// an attacker writes.
+const scratchBins = 2048
+
+// poolable reports whether sc may go back to the pool: each store array
+// holds at most twice scratchBins buckets plus padding, and each
+// DataDog buffer at most twice scratchBins entries. A hostile payload
+// can grow them far past that; such a scratch is left to the garbage
+// collector, as is one that decoded an honest payload of more bins,
+// whose next payload then allocates as Decode does.
+func (sc *scratchSketch) poolable() bool {
+	// 8 bytes a bin, plus the array padding and the fixed fields.
+	const maxStoreBytes = 16*scratchBins + 1024
+	for i := range 2 {
+		if st := sc.nativeStores[i]; st != nil && st.SizeBytes() > maxStoreBytes {
+			return false
+		}
+		if st := sc.ddStores[i]; st != nil && st.SizeBytes() > maxStoreBytes {
+			return false
+		}
+		if cap(sc.ddBins[i]) > 2*scratchBins+64 || cap(sc.ddFields[i]) > 2*scratchBins+64 {
+			return false
+		}
+	}
+	return true
+}
+
+// mappingCache remembers the payload bytes the last decoded mapping
+// came from. Decoding a mapping is a pure function of those bytes, so
+// a payload repeating them reuses the decoded mapping instead of
+// building (and, for a collapsed lineage, re-coarsening) a new one.
+// Mappings are immutable, so the sketches Decode returns may share one.
+type mappingCache struct {
+	key         []byte
+	mapping     mapping.IndexMapping
+	base        mapping.IndexMapping
+	uniformBins int
+	epoch       int
+	indexOffset int // DataDog only
+}
+
+// maxMappingKey bounds the cached key. Real mapping encodings take
+// well under 32 bytes; a longer one (unknown DataDog fields, say) is
+// decoded every time rather than kept.
+const maxMappingKey = 64
+
+// set caches m, decoded from key; keys longer than maxMappingKey
+// are not kept.
+func (c *mappingCache) set(key []byte, m mappingCache) {
+	m.key = c.key[:0]
+	if len(key) <= maxMappingKey {
+		m.key = append(m.key, key...)
+	}
+	*c = m
+}
+
+// hitPrefix reports whether data starts with the cached key.
+func (c *mappingCache) hitPrefix(data []byte) bool {
+	return len(c.key) > 0 && bytes.HasPrefix(data, c.key)
+}
+
+// hit reports whether data is the cached key.
+func (c *mappingCache) hit(data []byte) bool {
+	return len(c.key) > 0 && bytes.Equal(data, c.key)
+}

@@ -1,10 +1,13 @@
 package ddsketch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"github.com/ddsketch-go/ddsketch/internal/storeops"
 	"github.com/ddsketch-go/ddsketch/mapping"
 	"github.com/ddsketch-go/ddsketch/store"
 )
@@ -400,100 +403,122 @@ type ddBin struct {
 // Malformed, truncated, or hostile payloads fail with an error wrapping
 // ErrInvalidEncoding; valid payloads from any conforming encoder are
 // accepted regardless of field order or encoding choice.
-func (dataDogCodec) Decode(data []byte) (*DDSketch, error) {
-	r := &ddReader{data: data}
+func (dataDogCodec) Decode(data []byte) (*DDSketch, error) { return decodeFresh(dataDogCodec{}, data) }
+
+// decodeInto is Decode into a scratch sketch. The whole payload is
+// validated first, and each store's bins are collected, sorted and
+// coalesced; the store's array is then sized once for their index
+// range and filled.
+func (dataDogCodec) decodeInto(dst *scratchSketch, data []byte) error {
+	r := ddReader{data: data}
+	fields := &dst.ddFields
+	fields[0], fields[1] = fields[0][:0], fields[1][:0]
+	// The bodies point into data, which the caller may reuse; do not
+	// keep them past this call.
+	defer func() {
+		clear(fields[0])
+		clear(fields[1])
+	}()
 	var (
-		m              mapping.IndexMapping
-		indexOffset    int
-		positiveBins   []ddBin
-		negativeBins   []ddBin
-		zeroCount      float64
-		sawMapping     bool
-		positiveFields [][]byte
-		negativeFields [][]byte
+		zeroCount  float64
+		sawMapping bool
 	)
 	for !r.done() {
 		num, wire, err := r.field()
 		if err != nil {
-			return nil, fmt.Errorf("%w: datadog: %v", ErrInvalidEncoding, err)
+			return fmt.Errorf("%w: datadog: %v", ErrInvalidEncoding, err)
 		}
 		switch {
 		case num == ddFieldMapping && wire == ddWireBytes:
 			body, err := r.bytes()
 			if err != nil {
-				return nil, fmt.Errorf("%w: datadog: mapping: %v", ErrInvalidEncoding, err)
+				return fmt.Errorf("%w: datadog: mapping: %v", ErrInvalidEncoding, err)
 			}
-			m, indexOffset, err = ddDecodeMapping(body)
-			if err != nil {
-				return nil, fmt.Errorf("%w: datadog: mapping: %v", ErrInvalidEncoding, err)
+			if !dst.ddMapping.hit(body) {
+				m, indexOffset, err := ddDecodeMapping(body)
+				if err != nil {
+					return fmt.Errorf("%w: datadog: mapping: %v", ErrInvalidEncoding, err)
+				}
+				dst.ddMapping.set(body, mappingCache{mapping: m, indexOffset: indexOffset})
 			}
 			sawMapping = true
 		case num == ddFieldPositive && wire == ddWireBytes:
 			body, err := r.bytes()
 			if err != nil {
-				return nil, fmt.Errorf("%w: datadog: positive store: %v", ErrInvalidEncoding, err)
+				return fmt.Errorf("%w: datadog: positive store: %v", ErrInvalidEncoding, err)
 			}
-			positiveFields = append(positiveFields, body)
+			fields[0] = append(fields[0], body)
 		case num == ddFieldNegative && wire == ddWireBytes:
 			body, err := r.bytes()
 			if err != nil {
-				return nil, fmt.Errorf("%w: datadog: negative store: %v", ErrInvalidEncoding, err)
+				return fmt.Errorf("%w: datadog: negative store: %v", ErrInvalidEncoding, err)
 			}
-			negativeFields = append(negativeFields, body)
+			fields[1] = append(fields[1], body)
 		case num == ddFieldZeroCount && wire == ddWireFixed64:
 			v, err := r.double()
 			if err != nil {
-				return nil, fmt.Errorf("%w: datadog: zero count: %v", ErrInvalidEncoding, err)
+				return fmt.Errorf("%w: datadog: zero count: %v", ErrInvalidEncoding, err)
 			}
 			zeroCount = v
 		default:
 			if err := r.skip(wire); err != nil {
-				return nil, fmt.Errorf("%w: datadog: field %d: %v", ErrInvalidEncoding, num, err)
+				return fmt.Errorf("%w: datadog: field %d: %v", ErrInvalidEncoding, num, err)
 			}
 		}
 	}
 	if !sawMapping {
-		return nil, fmt.Errorf("%w: datadog: payload carries no index mapping", ErrInvalidEncoding)
+		return fmt.Errorf("%w: datadog: payload carries no index mapping", ErrInvalidEncoding)
 	}
 	if math.IsNaN(zeroCount) || math.IsInf(zeroCount, 0) || zeroCount < 0 {
-		return nil, fmt.Errorf("%w: datadog: zero count %v", ErrInvalidEncoding, zeroCount)
+		return fmt.Errorf("%w: datadog: zero count %v", ErrInvalidEncoding, zeroCount)
 	}
+	c := &dst.ddMapping
 	// Non-contiguous encoders may split a store across repeated fields;
 	// proto semantics merge them, so bins accumulate across bodies.
-	for _, body := range positiveFields {
+	for side, bodies := range fields {
+		bins := dst.ddBins[side][:0]
 		var err error
-		positiveBins, err = ddDecodeStore(body, positiveBins, indexOffset)
-		if err != nil {
-			return nil, fmt.Errorf("%w: datadog: positive store: %v", ErrInvalidEncoding, err)
+		for _, body := range bodies {
+			if bins, err = ddDecodeStore(body, bins, c.indexOffset); err != nil {
+				return fmt.Errorf("%w: datadog: %s store: %v", ErrInvalidEncoding, storeSides[side], err)
+			}
+		}
+		if dst.ddBins[side], err = ddCoalesce(bins); err != nil {
+			return fmt.Errorf("%w: datadog: %s store: %v", ErrInvalidEncoding, storeSides[side], err)
 		}
 	}
-	for _, body := range negativeFields {
-		var err error
-		negativeBins, err = ddDecodeStore(body, negativeBins, indexOffset)
-		if err != nil {
-			return nil, fmt.Errorf("%w: datadog: negative store: %v", ErrInvalidEncoding, err)
+	for side, bins := range dst.ddBins {
+		lo, hi := 0, -1
+		if len(bins) > 0 {
+			lo, hi = bins[0].index, bins[len(bins)-1].index
+		}
+		st := storeops.ResetDense(dst.ddStores[side], lo, hi)
+		dst.ddStores[side] = st
+		for _, b := range bins {
+			st.AddWithCount(b.index, b.count)
 		}
 	}
-	positive, err := ddBuildStore(positiveBins)
-	if err != nil {
-		return nil, fmt.Errorf("%w: datadog: positive store: %v", ErrInvalidEncoding, err)
+	positive, negative := dst.ddStores[0], dst.ddStores[1]
+	// Every bin is finite, but their total can still overflow while the
+	// reconstructed sum stays finite (bins valued below 1), and an
+	// aggregate that merged an infinite count would keep it for good.
+	if count := zeroCount + positive.TotalCount() + negative.TotalCount(); math.IsInf(count, 0) {
+		return fmt.Errorf("%w: datadog: total weight overflows to %v", ErrInvalidEncoding, count)
 	}
-	negative, err := ddBuildStore(negativeBins)
+	min, max, sum, err := ddReconstructStatistics(c.mapping, dst.ddBins[0], dst.ddBins[1], zeroCount)
 	if err != nil {
-		return nil, fmt.Errorf("%w: datadog: negative store: %v", ErrInvalidEncoding, err)
+		return err
 	}
-	s := &DDSketch{
-		mapping:   m,
+	dst.sketch = DDSketch{
+		mapping:   c.mapping,
 		positive:  positive,
 		negative:  negative,
 		zeroCount: zeroCount,
-		min:       math.Inf(1),
-		max:       math.Inf(-1),
+		min:       min,
+		max:       max,
+		sum:       sum,
 	}
-	if err := ddReconstructStatistics(s); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return nil
 }
 
 // ddDecodeMapping parses an IndexMapping message into one of the four
@@ -569,11 +594,12 @@ func ddDecodeMapping(body []byte) (mapping.IndexMapping, int, error) {
 // only as contiguous-run padding. Repeated contiguousBinCounts fields
 // concatenate into one run (proto packed-repeated semantics), and the
 // run's contiguousBinIndexOffset may appear anywhere in the message, so
-// contiguous bins resolve to indexes only at end of message.
+// contiguous bins resolve to indexes only once the message has been
+// read: a second pass appends them after the map entries.
 func ddDecodeStore(body []byte, dst []ddBin, indexOffset int) ([]ddBin, error) {
-	r := &ddReader{data: body}
+	r := ddReader{data: body}
 	var (
-		contiguous       []float64
+		contiguousLen    int
 		contiguousOffset int32
 	)
 	for !r.done() {
@@ -605,20 +631,16 @@ func ddDecodeStore(body []byte, dst []ddBin, indexOffset int) ([]ddBin, error) {
 			if len(packed)%8 != 0 {
 				return nil, fmt.Errorf("packed double run of %d bytes (need multiple of 8)", len(packed))
 			}
-			if len(contiguous)+len(packed)/8 > ddMaxIndexSpan {
+			if contiguousLen+len(packed)/8 > ddMaxIndexSpan {
 				return nil, fmt.Errorf("contiguous run of %d bins exceeds span limit %d",
-					len(contiguous)+len(packed)/8, ddMaxIndexSpan)
+					contiguousLen+len(packed)/8, ddMaxIndexSpan)
 			}
 			for i := 0; i+8 <= len(packed); i += 8 {
-				bits := uint64(packed[i]) | uint64(packed[i+1])<<8 | uint64(packed[i+2])<<16 |
-					uint64(packed[i+3])<<24 | uint64(packed[i+4])<<32 | uint64(packed[i+5])<<40 |
-					uint64(packed[i+6])<<48 | uint64(packed[i+7])<<56
-				count := math.Float64frombits(bits)
-				if err := ddCheckCount(count); err != nil {
+				if err := ddCheckCount(ddPackedDouble(packed[i:])); err != nil {
 					return nil, err
 				}
-				contiguous = append(contiguous, count)
 			}
+			contiguousLen += len(packed) / 8
 		case num == ddStoreFieldContiguousOffset && wire == ddWireVarint:
 			u, err := r.uvarint()
 			if err != nil {
@@ -633,12 +655,34 @@ func ddDecodeStore(body []byte, dst []ddBin, indexOffset int) ([]ddBin, error) {
 			}
 		}
 	}
-	for i, count := range contiguous {
-		if count > 0 {
-			dst = append(dst, ddBin{int(contiguousOffset) + i - indexOffset, count})
+	if contiguousLen == 0 {
+		return dst, nil
+	}
+	r = ddReader{data: body}
+	i := 0
+	for !r.done() {
+		// The first pass read every field, so none of these reads fails.
+		num, wire, _ := r.field()
+		if num != ddStoreFieldContiguousCounts || wire != ddWireBytes {
+			_ = r.skip(wire)
+			continue
+		}
+		packed, _ := r.bytes()
+		for j := 0; j+8 <= len(packed); j += 8 {
+			if count := ddPackedDouble(packed[j:]); count > 0 {
+				dst = append(dst, ddBin{int(contiguousOffset) + i - indexOffset, count})
+			}
+			i++
 		}
 	}
 	return dst, nil
+}
+
+// ddPackedDouble reads the little-endian double at the start of b.
+func ddPackedDouble(b []byte) float64 {
+	return math.Float64frombits(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 |
+		uint64(b[3])<<24 | uint64(b[4])<<32 | uint64(b[5])<<40 |
+		uint64(b[6])<<48 | uint64(b[7])<<56)
 }
 
 // ddDecodeMapEntry parses one binCounts map entry: {sint32 key = 1,
@@ -685,95 +729,78 @@ func ddCheckCount(count float64) error {
 	return nil
 }
 
-// ddBuildStore validates the collected bins' overall shape and builds
-// the DenseStore — validation first, so a hostile payload cannot force
-// a huge allocation before being rejected.
-func ddBuildStore(bins []ddBin) (store.Store, error) {
-	st := store.NewDenseStore()
+// ddCoalesce sorts bins by index, keeping the payload order of equal
+// indexes, and sums each index's counts in that order: the sums a loop
+// of AddWithCount calls in payload order would leave. It then checks
+// the index range, before any store is sized for it.
+func ddCoalesce(bins []ddBin) ([]ddBin, error) {
 	if len(bins) == 0 {
-		return st, nil
+		return bins, nil
 	}
-	lo, hi := bins[0].index, bins[0].index
+	byIndex := func(a, b ddBin) int { return cmp.Compare(a.index, b.index) }
+	if !slices.IsSortedFunc(bins, byIndex) {
+		slices.SortStableFunc(bins, byIndex)
+	}
+	out := bins[:1]
 	for _, b := range bins[1:] {
-		if b.index < lo {
-			lo = b.index
-		}
-		if b.index > hi {
-			hi = b.index
+		if last := &out[len(out)-1]; b.index == last.index {
+			last.count += b.count
+		} else {
+			out = append(out, b)
 		}
 	}
+	lo, hi := out[0].index, out[len(out)-1].index
 	if lo < -ddMaxIndexOffset || hi > ddMaxIndexOffset {
 		return nil, fmt.Errorf("bucket index out of range [%d, %d]", lo, hi)
 	}
 	if hi-lo > ddMaxIndexSpan {
 		return nil, fmt.Errorf("index span [%d, %d] too wide", lo, hi)
 	}
-	for _, b := range bins {
-		st.AddWithCount(b.index, b.count)
-	}
-	return st, nil
+	return out, nil
 }
 
-// ddReconstructStatistics fills in the statistics the DataDog schema
-// cannot carry: min and max from the extreme buckets' representative
-// values, sum as Σ count·Value(index). Each is within the mapping's
-// relative accuracy of the exact statistic — which keeps every
-// quantile estimate of the decoded sketch within α, since the
-// statistics only participate as the output clamp. Non-finite
-// reconstructions (buckets beyond the mapping's indexable range) are
-// rejected, mirroring the native decoder's hostile-statistics checks.
-func ddReconstructStatistics(s *DDSketch) error {
-	m := s.mapping
-	sum := 0.0
-	s.positive.ForEach(func(index int, count float64) bool {
-		sum += count * m.Value(index)
-		return true
-	})
-	s.negative.ForEach(func(index int, count float64) bool {
-		sum -= count * m.Value(index)
-		return true
-	})
-	if s.zeroCount+s.positive.TotalCount()+s.negative.TotalCount() > 0 {
-		// min: most negative value first, then zero, then smallest positive.
-		switch {
-		case s.negative.TotalCount() > 0:
-			maxIdx, err := s.negative.MaxIndex()
-			if err != nil {
-				return fmt.Errorf("%w: datadog: %v", ErrInvalidEncoding, err)
-			}
-			s.min = -m.Value(maxIdx)
-		case s.zeroCount > 0:
-			s.min = 0
-		default:
-			minIdx, err := s.positive.MinIndex()
-			if err != nil {
-				return fmt.Errorf("%w: datadog: %v", ErrInvalidEncoding, err)
-			}
-			s.min = m.Value(minIdx)
-		}
-		switch {
-		case s.positive.TotalCount() > 0:
-			maxIdx, err := s.positive.MaxIndex()
-			if err != nil {
-				return fmt.Errorf("%w: datadog: %v", ErrInvalidEncoding, err)
-			}
-			s.max = m.Value(maxIdx)
-		case s.zeroCount > 0:
-			s.max = 0
-		default:
-			minIdx, err := s.negative.MinIndex()
-			if err != nil {
-				return fmt.Errorf("%w: datadog: %v", ErrInvalidEncoding, err)
-			}
-			s.max = -m.Value(minIdx)
-		}
-		if math.IsNaN(sum) || math.IsInf(sum, 0) ||
-			math.IsNaN(s.min) || math.IsInf(s.min, 0) ||
-			math.IsNaN(s.max) || math.IsInf(s.max, 0) || s.min > s.max {
-			return fmt.Errorf("%w: datadog: unreconstructable statistics (min %v, max %v, sum %v)",
-				ErrInvalidEncoding, s.min, s.max, sum)
-		}
+// ddReconstructStatistics derives the statistics the DataDog schema
+// cannot carry from the coalesced bins, each store's in ascending index
+// order: min and max from the extreme buckets' representative values,
+// sum as Σ count·Value(index). Each is within the mapping's relative
+// accuracy of the exact statistic — which keeps every quantile estimate
+// of the decoded sketch within α, since the statistics only participate
+// as the output clamp. Non-finite reconstructions (buckets beyond the
+// mapping's indexable range) are rejected, mirroring the native
+// decoder's hostile-statistics checks.
+func ddReconstructStatistics(m mapping.IndexMapping, positive, negative []ddBin, zeroCount float64) (min, max, sum float64, err error) {
+	for _, b := range positive {
+		sum += b.count * m.Value(b.index)
 	}
-	s.sum = sum
-	return nil
+	for _, b := range negative {
+		sum -= b.count * m.Value(b.index)
+	}
+	min, max = math.Inf(1), math.Inf(-1)
+	if zeroCount == 0 && len(positive) == 0 && len(negative) == 0 {
+		return min, max, sum, nil
+	}
+	// min: most negative value first, then zero, then smallest positive.
+	switch {
+	case len(negative) > 0:
+		min = -m.Value(negative[len(negative)-1].index)
+	case zeroCount > 0:
+		min = 0
+	default:
+		min = m.Value(positive[0].index)
+	}
+	switch {
+	case len(positive) > 0:
+		max = m.Value(positive[len(positive)-1].index)
+	case zeroCount > 0:
+		max = 0
+	default:
+		max = -m.Value(negative[0].index)
+	}
+	if math.IsNaN(sum) || math.IsInf(sum, 0) ||
+		math.IsNaN(min) || math.IsInf(min, 0) ||
+		math.IsNaN(max) || math.IsInf(max, 0) || min > max {
+		return 0, 0, 0, fmt.Errorf("%w: datadog: unreconstructable statistics (min %v, max %v, sum %v)",
+			ErrInvalidEncoding, min, max, sum)
+	}
+	return min, max, sum, nil
 }

@@ -1,10 +1,12 @@
 package ddsketch_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/ddsketch-go/ddsketch"
 	"github.com/ddsketch-go/ddsketch/encoding"
@@ -657,6 +659,155 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if exact.RelativeError(got, want) > 2*alpha {
 				t.Errorf("q%g = %v, want %v within 2α=%g", q, got, want, 2*alpha)
 			}
+		}
+	})
+}
+
+// FuzzMergeEncoded holds the pooled scratch path to the reference it
+// replaces: for any payload, MergeEncoded (and DDSketch's
+// DecodeAndMergeWith) must leave exactly the Encode() bytes that Decode
+// followed by MergeWith leaves, or fail with the same error class and
+// leave the aggregate's bytes unchanged. Before each input the pooled
+// scratch is dirtied with payloads of other shapes (other codecs,
+// store types, bin limits and lineages), so stale state from an earlier
+// decode would show.
+func FuzzMergeEncoded(f *testing.F) {
+	fill := func(s *ddsketch.DDSketch, values []float64) *ddsketch.DDSketch {
+		if err := s.AddBatch(values); err != nil {
+			f.Fatal(err)
+		}
+		return s
+	}
+	must := func(s *ddsketch.DDSketch, err error) *ddsketch.DDSketch {
+		if err != nil {
+			f.Fatal(err)
+		}
+		return s
+	}
+	pareto := datagen.ParetoSeeded(500, 7)
+	negative := make([]float64, len(pareto))
+	for i, v := range pareto {
+		negative[i] = -v
+	}
+	collapsed := fill(must(ddsketch.NewUniformCollapsing(0.01, 32)), pareto)
+	if collapsed.CollapseEpoch() == 0 {
+		f.Fatal("uniform seed did not collapse")
+	}
+	seeds := []*ddsketch.DDSketch{
+		fill(must(ddsketch.NewCollapsing(0.01, 2048)), pareto),        // native v1
+		fill(must(ddsketch.NewUniformCollapsing(0.01, 4096)), pareto), // native v2, epoch 0
+		collapsed, // native v2, collapsed
+		fill(must(ddsketch.NewCollapsing(0.01, 2048)), negative),        // negative only
+		fill(must(ddsketch.NewCollapsing(0.01, 2048)), []float64{0, 0}), // zero only
+		fill(must(ddsketch.New(0.01)), append(pareto[:100:100], -1, 0)), // dense, mixed signs
+		fill(must(ddsketch.NewCollapsingHighest(0.02, 64)), negative),   // other mapping and limit
+	}
+	for _, s := range seeds {
+		dd, err := ddsketch.DataDogCodec.Encode(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range [][]byte{s.Encode(), dd} {
+			f.Add(p)
+			f.Add(p[:len(p)/2])
+		}
+	}
+	f.Add(hostileStatsPayload(0, 1, 2, 3, 1e308))
+
+	// Payloads of other shapes to leave in the pooled scratch.
+	var dirty [][]byte
+	for _, s := range []*ddsketch.DDSketch{seeds[2], seeds[5], seeds[6]} {
+		dd, err := ddsketch.DataDogCodec.Encode(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		dirty = append(dirty, s.Encode(), dd)
+	}
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	aggregates := [][]ddsketch.Option{
+		{ddsketch.WithRelativeAccuracy(0.01), ddsketch.WithMaxBins(2048)},
+		{ddsketch.WithRelativeAccuracy(0.01), ddsketch.WithUniformCollapse(64)},
+	}
+	newSketch := func(t *testing.T, opts ...ddsketch.Option) ddsketch.Sketch {
+		s, err := ddsketch.NewSketch(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	errorClass := func(err error) string {
+		for _, class := range []error{ddsketch.ErrInvalidEncoding, ddsketch.ErrUnsupportedVersion,
+			ddsketch.ErrIncompatibleSketches} {
+			if errors.Is(err, class) {
+				return class.Error()
+			}
+		}
+		if err != nil {
+			return "unclassified: " + err.Error()
+		}
+		return "accepted"
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, opts := range aggregates {
+			newAggregate := func() ddsketch.Sketch {
+				return newSketch(t, append(opts, ddsketch.WithSharding(1), ddsketch.WithWindow(time.Minute, 3),
+					ddsketch.WithClock(func() time.Time { return now }))...)
+			}
+			sink := newAggregate().(*ddsketch.WindowedSharded)
+			for _, p := range dirty {
+				c, err := ddsketch.DetectCodec(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = sink.MergeEncoded(c, p) // only the decode into the scratch matters
+			}
+
+			got := newAggregate().(*ddsketch.WindowedSharded)
+			want := newAggregate()
+			for _, s := range []ddsketch.Sketch{got, want} {
+				if err := s.AddBatch([]float64{0.5, 3, 3, 250}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := got.Snapshot().Encode()
+			c, err := ddsketch.DetectCodec(data)
+			if err != nil {
+				return
+			}
+			gotErr := got.MergeEncoded(c, data)
+			decoded, wantErr := c.Decode(data)
+			if wantErr == nil {
+				wantErr = want.MergeWith(decoded)
+			}
+			if g, w := errorClass(gotErr), errorClass(wantErr); g != w {
+				t.Fatalf("MergeEncoded: %s (%v), Decode+MergeWith: %s (%v)", g, gotErr, w, wantErr)
+			}
+			after := got.Snapshot().Encode()
+			if gotErr != nil {
+				if !bytes.Equal(after, before) {
+					t.Fatalf("rejected payload (%v) changed the aggregate", gotErr)
+				}
+				continue
+			}
+			if !bytes.Equal(after, want.Snapshot().Encode()) {
+				t.Fatal("MergeEncoded and Decode+MergeWith left different aggregates")
+			}
+		}
+
+		// The plain sketch's entry point takes the same path.
+		got := newSketch(t, aggregates[0]...).(*ddsketch.DDSketch)
+		want := newSketch(t, aggregates[0]...).(*ddsketch.DDSketch)
+		gotErr := got.DecodeAndMergeWith(data)
+		decoded, wantErr := ddsketch.Decode(data)
+		if wantErr == nil {
+			wantErr = want.MergeWith(decoded)
+		}
+		if g, w := errorClass(gotErr), errorClass(wantErr); g != w {
+			t.Fatalf("DecodeAndMergeWith: %s (%v), Decode+MergeWith: %s (%v)", g, gotErr, w, wantErr)
+		}
+		if !bytes.Equal(got.Encode(), want.Encode()) {
+			t.Fatal("DecodeAndMergeWith and Decode+MergeWith left different sketches")
 		}
 	})
 }

@@ -468,12 +468,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	sketch, err := codec.Decode(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.agg.MergeWith(sketch); err != nil {
+	if err := s.agg.MergeEncoded(codec, body); err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, ddsketch.ErrIncompatibleSketches) {
 			status = http.StatusConflict

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"github.com/ddsketch-go/ddsketch/encoding"
+	"github.com/ddsketch-go/ddsketch/internal/storeops"
 	"github.com/ddsketch-go/ddsketch/mapping"
 	"github.com/ddsketch-go/ddsketch/store"
 )
@@ -103,51 +104,155 @@ func Decode(data []byte) (*DDSketch, error) {
 	return c.Decode(data)
 }
 
-// decodeNative reconstructs a sketch serialized with Encode. The
-// returned sketch has the same mapping, store types, contents, and
-// statistics as the original.
-func decodeNative(data []byte) (*DDSketch, error) {
-	r := encoding.NewReader(data)
+// decodeInto reconstructs a sketch serialized with Encode into dst:
+// the same mapping, store types, contents, and statistics as the
+// original. Each store is validated in full before its array is sized,
+// once, for the decoded index range.
+func (nativeCodec) decodeInto(dst *scratchSketch, data []byte) error {
+	dst.reader = *encoding.NewReader(data)
+	defer func() { dst.reader = encoding.Reader{} }() // do not keep data past this call
+	r := &dst.reader
 	for _, want := range serializationMagic {
 		got, err := r.Byte()
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidEncoding, err)
+			return fmt.Errorf("%w: %v", ErrInvalidEncoding, err)
 		}
 		if got != want {
-			return nil, fmt.Errorf("%w: bad magic", ErrInvalidEncoding)
+			return fmt.Errorf("%w: bad magic", ErrInvalidEncoding)
 		}
 	}
+	// The version byte, the uniform-collapse header and the mapping
+	// decode as one unit, cached across payloads.
+	c := &dst.nativeMapping
+	header := data[len(serializationMagic):]
+	if c.hitPrefix(header) {
+		for range c.key {
+			_, _ = r.Byte() // skip the header bytes the cache matched
+		}
+	} else {
+		m, err := decodeNativeHeader(r)
+		if err != nil {
+			return err
+		}
+		c.set(header[:len(header)-r.Remaining()], m)
+	}
+	zeroCount, err := r.Varfloat64()
+	if err != nil {
+		return fmt.Errorf("%w: decoding zero count: %w", ErrInvalidEncoding, err)
+	}
+	min, err := r.Varfloat64()
+	if err != nil {
+		return fmt.Errorf("%w: decoding min: %w", ErrInvalidEncoding, err)
+	}
+	max, err := r.Varfloat64()
+	if err != nil {
+		return fmt.Errorf("%w: decoding max: %w", ErrInvalidEncoding, err)
+	}
+	sum, err := r.Varfloat64()
+	if err != nil {
+		return fmt.Errorf("%w: decoding sum: %w", ErrInvalidEncoding, err)
+	}
+	// Validate the statistics before decoding the stores: a NaN statistic
+	// (or a negative or non-finite zero count, or an infinite sum) would
+	// poison every Quantile through the min/max clamp and every Count and
+	// Avg through the counters. Infinite sums and zero counts are
+	// technically reachable by float64 overflow of legal insertions, but
+	// only past ~1.8e308 of accumulated weight — outside the wire
+	// format's domain, so they are treated as hostile rather than carried
+	// into an aggregate they would silently saturate.
+	if math.IsNaN(zeroCount) || math.IsInf(zeroCount, 0) || zeroCount < 0 {
+		return fmt.Errorf("%w: zero count %v", ErrInvalidEncoding, zeroCount)
+	}
+	if math.IsNaN(min) || math.IsNaN(max) || math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return fmt.Errorf("%w: non-finite statistics (min %v, max %v, sum %v)",
+			ErrInvalidEncoding, min, max, sum)
+	}
+	for side, st := range dst.nativeStores {
+		decoded, err := storeops.DecodeInto(r, st)
+		if err != nil {
+			return fmt.Errorf("%w: decoding %s store: %w", ErrInvalidEncoding, storeSides[side], err)
+		}
+		dst.nativeStores[side] = decoded
+	}
+	positive, negative := dst.nativeStores[0], dst.nativeStores[1]
+	// Every bin is finite, but their total can still overflow, and an
+	// aggregate that merged an infinite count would keep it for good.
+	count := zeroCount + positive.TotalCount() + negative.TotalCount()
+	if math.IsInf(count, 0) {
+		return fmt.Errorf("%w: total weight overflows to %v", ErrInvalidEncoding, count)
+	}
+	// A sketch holding weight has finite, ordered extremes: only finite
+	// values can be inserted, and every insertion updates min and max.
+	// (An empty sketch legitimately carries min = +Inf, max = −Inf.)
+	if count > 0 {
+		if math.IsInf(min, 0) || math.IsInf(max, 0) || min > max {
+			return fmt.Errorf("%w: extremes [%v, %v] with count %v",
+				ErrInvalidEncoding, min, max, count)
+		}
+	}
+	if c.uniformBins > 0 {
+		// A uniform bin budget owns unbounded dense stores (the
+		// sketch-level fold is what bounds them); a budget paired with any
+		// other store type is a configuration NewSketch can never build.
+		// An epoch alone is legal on any store: the public
+		// CollapseUniformly pre-coarsens budget-less sketches in place.
+		for side, st := range dst.nativeStores {
+			if _, ok := st.(*store.DenseStore); !ok {
+				return fmt.Errorf("%w: uniform bin budget %d with a non-dense %s store %T",
+					ErrInvalidEncoding, c.uniformBins, storeSides[side], st)
+			}
+		}
+	}
+	dst.sketch = DDSketch{
+		mapping:        c.mapping,
+		positive:       positive,
+		negative:       negative,
+		zeroCount:      zeroCount,
+		min:            min,
+		max:            max,
+		sum:            sum,
+		uniformMaxBins: c.uniformBins,
+		epoch:          c.epoch,
+		baseMapping:    c.base,
+	}
+	return nil
+}
+
+// decodeNativeHeader decodes the version byte, the version-2
+// uniform-collapse header and the mapping, re-deriving the current
+// mapping of a collapsed lineage.
+func decodeNativeHeader(r *encoding.Reader) (mappingCache, error) {
 	version, err := r.Byte()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidEncoding, err)
+		return mappingCache{}, fmt.Errorf("%w: %v", ErrInvalidEncoding, err)
 	}
 	if version != serializationVersion && version != serializationVersionUniform {
-		return nil, fmt.Errorf("%w: got version %d", ErrUnsupportedVersion, version)
+		return mappingCache{}, fmt.Errorf("%w: got version %d", ErrUnsupportedVersion, version)
 	}
 	var uniformMaxBins, epoch int
 	if version == serializationVersionUniform {
 		bins, err := r.Uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("%w: decoding uniform bin budget: %v", ErrInvalidEncoding, err)
+			return mappingCache{}, fmt.Errorf("%w: decoding uniform bin budget: %v", ErrInvalidEncoding, err)
 		}
 		e, err := r.Uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("%w: decoding collapse epoch: %v", ErrInvalidEncoding, err)
+			return mappingCache{}, fmt.Errorf("%w: decoding collapse epoch: %v", ErrInvalidEncoding, err)
 		}
 		// Mirror WithUniformCollapse's validation: a budget of 1 can
 		// never fit two non-empty stores and would spin the collapse
 		// loop on every insertion.
 		if bins == 1 || bins > uint64(maxDecodedUniformBins) {
-			return nil, fmt.Errorf("%w: uniform bin budget %d out of range", ErrInvalidEncoding, bins)
+			return mappingCache{}, fmt.Errorf("%w: uniform bin budget %d out of range", ErrInvalidEncoding, bins)
 		}
 		if e > maxDecodedEpoch {
-			return nil, fmt.Errorf("%w: collapse epoch %d out of range", ErrInvalidEncoding, e)
+			return mappingCache{}, fmt.Errorf("%w: collapse epoch %d out of range", ErrInvalidEncoding, e)
 		}
 		uniformMaxBins, epoch = int(bins), int(e)
 	}
 	m, err := mapping.Decode(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: decoding mapping: %w", ErrInvalidEncoding, err)
+		return mappingCache{}, fmt.Errorf("%w: decoding mapping: %w", ErrInvalidEncoding, err)
 	}
 	baseMapping := m
 	if uniformMaxBins > 0 || epoch > 0 {
@@ -156,7 +261,7 @@ func decodeNative(data []byte) (*DDSketch, error) {
 		// mapping package's four mappings qualifies, so v2 payloads carry
 		// interpolated lineages as readily as logarithmic ones.
 		if _, ok := m.(mapping.Coarsenable); !ok {
-			return nil, fmt.Errorf("%w: uniform-collapse state on a non-coarsenable mapping %v",
+			return mappingCache{}, fmt.Errorf("%w: uniform-collapse state on a non-coarsenable mapping %v",
 				ErrInvalidEncoding, m)
 		}
 	}
@@ -168,12 +273,12 @@ func decodeNative(data []byte) (*DDSketch, error) {
 		for i := 0; i < epoch; i++ {
 			next, cerr := c.Coarsen()
 			if cerr != nil {
-				return nil, fmt.Errorf("%w: coarsening mapping to epoch %d: %v", ErrInvalidEncoding, epoch, cerr)
+				return mappingCache{}, fmt.Errorf("%w: coarsening mapping to epoch %d: %v", ErrInvalidEncoding, epoch, cerr)
 			}
 			var ok bool
 			c, ok = next.(mapping.Coarsenable)
 			if !ok {
-				return nil, fmt.Errorf("%w: mapping %v lost coarsenability at epoch %d",
+				return mappingCache{}, fmt.Errorf("%w: mapping %v lost coarsenability at epoch %d",
 					ErrInvalidEncoding, next, i+1)
 			}
 		}
@@ -182,90 +287,23 @@ func decodeNative(data []byte) (*DDSketch, error) {
 	if uniformMaxBins == 0 && epoch == 0 {
 		baseMapping = nil
 	}
-	zeroCount, err := r.Varfloat64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: decoding zero count: %w", ErrInvalidEncoding, err)
-	}
-	min, err := r.Varfloat64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: decoding min: %w", ErrInvalidEncoding, err)
-	}
-	max, err := r.Varfloat64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: decoding max: %w", ErrInvalidEncoding, err)
-	}
-	sum, err := r.Varfloat64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: decoding sum: %w", ErrInvalidEncoding, err)
-	}
-	// Validate the statistics before decoding the stores: a NaN statistic
-	// (or a negative or non-finite zero count, or an infinite sum) would
-	// poison every Quantile through the min/max clamp and every Count and
-	// Avg through the counters. Infinite sums and zero counts are
-	// technically reachable by float64 overflow of legal insertions, but
-	// only past ~1.8e308 of accumulated weight — outside the wire
-	// format's domain, so they are treated as hostile rather than carried
-	// into an aggregate they would silently saturate.
-	if math.IsNaN(zeroCount) || math.IsInf(zeroCount, 0) || zeroCount < 0 {
-		return nil, fmt.Errorf("%w: zero count %v", ErrInvalidEncoding, zeroCount)
-	}
-	if math.IsNaN(min) || math.IsNaN(max) || math.IsNaN(sum) || math.IsInf(sum, 0) {
-		return nil, fmt.Errorf("%w: non-finite statistics (min %v, max %v, sum %v)",
-			ErrInvalidEncoding, min, max, sum)
-	}
-	positive, err := store.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: decoding positive store: %w", ErrInvalidEncoding, err)
-	}
-	negative, err := store.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: decoding negative store: %w", ErrInvalidEncoding, err)
-	}
-	// A sketch holding weight has finite, ordered extremes: only finite
-	// values can be inserted, and every insertion updates min and max.
-	// (An empty sketch legitimately carries min = +Inf, max = −Inf.)
-	if count := zeroCount + positive.TotalCount() + negative.TotalCount(); count > 0 {
-		if math.IsInf(min, 0) || math.IsInf(max, 0) || min > max {
-			return nil, fmt.Errorf("%w: extremes [%v, %v] with count %v",
-				ErrInvalidEncoding, min, max, count)
-		}
-	}
-	if uniformMaxBins > 0 {
-		// A uniform bin budget owns unbounded dense stores (the
-		// sketch-level fold is what bounds them); a budget paired with any
-		// other store type is a configuration NewSketch can never build.
-		// An epoch alone is legal on any store: the public
-		// CollapseUniformly pre-coarsens budget-less sketches in place.
-		for side, st := range map[string]store.Store{"positive": positive, "negative": negative} {
-			if _, ok := st.(*store.DenseStore); !ok {
-				return nil, fmt.Errorf("%w: uniform bin budget %d with a non-dense %s store %T",
-					ErrInvalidEncoding, uniformMaxBins, side, st)
-			}
-		}
-	}
-	return &DDSketch{
-		mapping:        m,
-		positive:       positive,
-		negative:       negative,
-		zeroCount:      zeroCount,
-		min:            min,
-		max:            max,
-		sum:            sum,
-		uniformMaxBins: uniformMaxBins,
-		epoch:          epoch,
-		baseMapping:    baseMapping,
-	}, nil
+	return mappingCache{mapping: m, base: baseMapping, uniformBins: uniformMaxBins, epoch: epoch}, nil
 }
 
 // DecodeAndMergeWith decodes a serialized sketch and merges it into s in
 // one step, the common operation of an aggregation service consuming
 // sketches from many agents. Like Decode, it auto-detects the wire
 // format, so a single aggregate can consume native and DataDog payloads
-// interchangeably.
+// interchangeably. It is all or nothing: a payload Decode rejects, or
+// whose mapping cannot merge with s's, leaves s unchanged.
+//
+// The built-in codecs decode into a pooled scratch sketch whose stores
+// keep their arrays between calls, so after warm-up a payload costs no
+// allocation; payloads of custom codecs go through their Decode.
 func (s *DDSketch) DecodeAndMergeWith(data []byte) error {
-	other, err := Decode(data)
+	c, err := DetectCodec(data)
 	if err != nil {
 		return err
 	}
-	return s.MergeWith(other)
+	return mergeEncoded(s, c, data)
 }

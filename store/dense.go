@@ -38,13 +38,17 @@ func (d *denseBins) addAt(index int, count float64) {
 	if updated < 0 {
 		updated = 0
 	}
+	wasEmpty := d.isEmpty()
 	d.bins[pos] = updated
 	d.count += updated - old
 	if d.count <= 0 { // fully emptied (or float drift): reset cleanly
 		d.count = 0
 	}
 	if updated > 0 {
-		if old <= 0 && d.count == updated { // first weight in the store
+		// Test emptiness before the add: a count that absorbs the total
+		// (2^53 times it or more) must still widen the range, not reset
+		// it and strand the existing buckets outside [minIdx, maxIdx].
+		if wasEmpty {
 			d.minIdx, d.maxIdx = index, index
 			return
 		}
@@ -80,6 +84,28 @@ func (d *denseBins) ensureRange(newMin, newMax int) {
 	copy(newBins[d.offset-lo:], d.bins)
 	d.bins = newBins
 	d.offset = lo
+}
+
+// reset empties the bins and makes every index in [lo, hi] addressable
+// (none when lo > hi). The array is kept, zeroed and re-centred on the
+// range, when it is long enough; otherwise it is allocated once with
+// growthPadding spare buckets.
+func (d *denseBins) reset(lo, hi int) {
+	if d.isEmpty() {
+		clear(d.bins)
+	} else {
+		// Every positive bucket lies within [minIdx, maxIdx].
+		clear(d.bins[d.minIdx-d.offset : d.maxIdx-d.offset+1])
+	}
+	d.count = 0
+	needed := hi - lo + 1
+	if needed <= 0 {
+		return
+	}
+	if len(d.bins) < needed {
+		d.bins = make([]float64, needed+growthPadding)
+	}
+	d.offset = lo - (len(d.bins)-needed)/2
 }
 
 // relocateRange replaces the backing array with one of at most maxLen

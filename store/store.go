@@ -23,8 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/ddsketch-go/ddsketch/encoding"
+	"github.com/ddsketch-go/ddsketch/internal/storeops"
 )
 
 // Errors returned by stores.
@@ -156,7 +158,23 @@ const (
 // Decode reads a store previously written by Store.Encode, reconstructing
 // the original concrete type and configuration. Bins written under the
 // retired sparse and paginated tags decode into a DenseStore.
-func Decode(r *encoding.Reader) (Store, error) {
+func Decode(r *encoding.Reader) (Store, error) { return decodeInto(r, nil) }
+
+func init() {
+	storeops.Install(decodeInto, func(d *DenseStore, lo, hi int) *DenseStore {
+		if d == nil {
+			d = NewDenseStore()
+		}
+		d.reset(lo, hi)
+		return d
+	})
+}
+
+// decodeInto is Decode reusing dst when dst has the encoded type and
+// bin limit: a reused store is emptied and keeps its array when the
+// array is long enough for the decoded index range. A nil or
+// mismatched dst is replaced by a new store.
+func decodeInto(r *encoding.Reader, dst Store) (Store, error) {
 	tag, err := r.Byte()
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding type tag: %w", err)
@@ -164,16 +182,29 @@ func Decode(r *encoding.Reader) (Store, error) {
 	var s Store
 	switch tag {
 	case typeDense, typeSparse, typeBufferedPaginated:
-		s = NewDenseStore()
+		if d, ok := dst.(*DenseStore); ok {
+			s = d
+		} else {
+			s = NewDenseStore()
+		}
 	case typeCollapsingLowest, typeCollapsingHighest:
-		maxBins, err := r.Uvarint()
+		u, err := r.Uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("store: decoding bin limit: %w", err)
 		}
+		maxBins := int(u)
 		if tag == typeCollapsingLowest {
-			s = NewCollapsingLowestDenseStore(int(maxBins))
+			if d, ok := dst.(*CollapsingLowestDenseStore); ok && d.maxBins == max(maxBins, 1) {
+				s = d
+			} else {
+				s = NewCollapsingLowestDenseStore(maxBins)
+			}
 		} else {
-			s = NewCollapsingHighestDenseStore(int(maxBins))
+			if d, ok := dst.(*CollapsingHighestDenseStore); ok && d.maxBins == max(maxBins, 1) {
+				s = d
+			} else {
+				s = NewCollapsingHighestDenseStore(maxBins)
+			}
 		}
 	default:
 		return nil, fmt.Errorf("store: type tag %d: %w", tag, ErrUnknownStore)
@@ -197,10 +228,25 @@ func encodeBins(w *encoding.Writer, s Store) {
 	})
 }
 
-// decodeBins reads a bucket list written by encodeBins into s, validating
-// the data before touching the store so that corrupted or hostile input
-// fails with ErrInvalidBins instead of driving the store into huge
-// allocations (see the maxDecoded* limits above).
+// decodedBin is one validated bucket of an encoded bucket list.
+type decodedBin struct {
+	index int
+	count float64
+}
+
+// binBufPool recycles decodeBins' buffers. Buffers past
+// maxPooledBinBuf bins (only a hostile payload needs one) are dropped.
+var binBufPool = sync.Pool{New: func() any { return new([]decodedBin) }}
+
+const maxPooledBinBuf = 1 << 13
+
+// decodeBins reads a bucket list written by encodeBins into s, which it
+// empties first. Every bin is read and validated before the store is
+// touched, so that corrupted or hostile input fails with ErrInvalidBins
+// instead of driving the store into huge allocations (see the
+// maxDecoded* limits above). The array is then sized once for the
+// decoded index range, and the bins are added in encoded order, exactly
+// as a loop of AddWithCount calls on an empty store would add them.
 func decodeBins(r *encoding.Reader, s Store) error {
 	n, err := r.Uvarint()
 	if err != nil {
@@ -211,6 +257,13 @@ func decodeBins(r *encoding.Reader, s Store) error {
 	if n > uint64(r.Remaining()/2) {
 		return fmt.Errorf("%w: bin count %d exceeds input size", ErrInvalidBins, n)
 	}
+	buf := binBufPool.Get().(*[]decodedBin)
+	defer func() {
+		if cap(*buf) <= maxPooledBinBuf {
+			binBufPool.Put(buf)
+		}
+	}()
+	bins := (*buf)[:0]
 	var index, minIndex, maxIndex int64
 	for i := uint64(0); i < n; i++ {
 		delta, err := r.Varint()
@@ -241,7 +294,38 @@ func decodeBins(r *encoding.Reader, s Store) error {
 		if math.IsNaN(count) || math.IsInf(count, 0) || count <= 0 {
 			return fmt.Errorf("%w: bin %d count %v", ErrInvalidBins, i, count)
 		}
-		s.AddWithCount(int(index), count)
+		bins = append(bins, decodedBin{int(index), count})
+	}
+	*buf = bins
+	lo, hi := int(minIndex), int(maxIndex)
+	if n == 0 {
+		lo, hi = 0, -1
+	}
+	// Within a range that fits the bin limit no add can collapse, and
+	// AddWithCount of a positive count on an addressable index is addAt.
+	// More span than maxBins can only come from a hostile encoder;
+	// AddWithCount then collapses it exactly as it always has.
+	fits := true
+	switch t := s.(type) {
+	case *DenseStore:
+		t.reset(lo, hi)
+	case *CollapsingLowestDenseStore:
+		t.reset(max(lo, hi-t.maxBins+1), hi)
+		t.isCollapsed = false
+		fits = hi-lo < t.maxBins
+	case *CollapsingHighestDenseStore:
+		t.reset(lo, min(hi, lo+t.maxBins-1))
+		t.isCollapsed = false
+		fits = hi-lo < t.maxBins
+	}
+	if d := denseBinsOf(s); d != nil && fits {
+		for _, b := range bins {
+			d.addAt(b.index, b.count)
+		}
+		return nil
+	}
+	for _, b := range bins {
+		s.AddWithCount(b.index, b.count)
 	}
 	return nil
 }

@@ -795,3 +795,69 @@ func TestDecodeBinsRejectsHostileInput(t *testing.T) {
 		}
 	}
 }
+
+// TestAbsorbedCountKeepsBuckets: a count large enough to absorb the
+// running total (2^53 times it or more) widens the tracked range like
+// any other add, instead of resetting it and stranding the buckets
+// already held outside it.
+func TestAbsorbedCountKeepsBuckets(t *testing.T) {
+	for _, c := range allStores {
+		s := c.new()
+		s.AddWithCount(5, 1e-300)
+		s.AddWithCount(10, 1)
+		if got := s.NumBins(); got != 2 {
+			t.Errorf("%s: %d buckets, want 2", c.name, got)
+		}
+		if got, err := s.MinIndex(); err != nil || got != 5 {
+			t.Errorf("%s: MinIndex = %d, %v; want 5", c.name, got, err)
+		}
+	}
+}
+
+// TestDecodeIntoReusesStore: decoding into a store of the encoded type
+// and bin limit reuses it, and its array when long enough, with the
+// same contents a fresh Decode gives; any other store is replaced.
+func TestDecodeIntoReusesStore(t *testing.T) {
+	encode := func(s Store, lo, hi int) []byte {
+		for i := lo; i <= hi; i++ {
+			s.AddWithCount(i, float64(1+i%3))
+		}
+		w := encoding.NewWriter(0)
+		s.Encode(w)
+		return w.Bytes()
+	}
+	wide := encode(NewCollapsingLowestDenseStore(64), -20, 40)
+	narrow := encode(NewCollapsingLowestDenseStore(64), 100, 110)
+	dst := NewCollapsingLowestDenseStore(64)
+	if _, err := decodeInto(encoding.NewReader(wide), dst); err != nil {
+		t.Fatal(err)
+	}
+	array := &dst.bins[0]
+	got, err := decodeInto(encoding.NewReader(narrow), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != Store(dst) || &dst.bins[0] != array {
+		t.Error("decoding a narrower payload of the same shape did not reuse the store and its array")
+	}
+	want, err := Decode(encoding.NewReader(narrow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model{}
+	want.ForEach(func(index int, count float64) bool {
+		m.add(index, count)
+		return true
+	})
+	checkAgainstModel(t, "reused", got, m)
+
+	for _, other := range []Store{NewDenseStore(), NewCollapsingLowestDenseStore(32), NewCollapsingHighestDenseStore(64)} {
+		got, err := decodeInto(encoding.NewReader(narrow), other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == other {
+			t.Errorf("decoded a 64-bin lowest-collapsing payload into the %T it was offered", other)
+		}
+	}
+}

@@ -136,6 +136,20 @@ func (ws *WindowedSharded) AddBatchWithCount(values []float64, count float64) er
 // of the agent workflow. other is not modified.
 func (ws *WindowedSharded) MergeWith(other *DDSketch) error { return ws.live.MergeWith(other) }
 
+// MergeEncoded decodes an encoded sketch with c and folds it into the
+// live layer: the aggregator's hot path, one call per agent payload.
+// It is Decode followed by MergeWith, all or nothing: a payload c
+// rejects, or whose mapping conflicts with the aggregate's
+// (ErrIncompatibleSketches), changes nothing.
+//
+// The built-in codecs decode into a pooled scratch sketch whose stores
+// keep their arrays between calls, so after warm-up a payload costs no
+// allocation. Codecs registered with RegisterCodec go through their
+// Decode.
+func (ws *WindowedSharded) MergeEncoded(c Codec, payload []byte) error {
+	return mergeEncoded(ws.live, c, payload)
+}
+
 // Trailing drains and returns a merged deep copy of the last k
 // intervals, newest first. k is clamped to [1, Windows()].
 func (ws *WindowedSharded) Trailing(k int) *DDSketch {
