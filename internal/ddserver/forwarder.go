@@ -80,6 +80,9 @@ type ForwardStats struct {
 	// Shed counts intervals dropped because the spool was full when a
 	// newer interval closed; ShedWeight is the total sketch weight
 	// (value count) they carried — the root is short exactly this much.
+	// An interval shed while its delivery attempt was in flight counts
+	// as shed only if that attempt fails retryably; if the root accepts
+	// or rejects it, it counts as Forwarded or Rejected instead.
 	Shed       int64   `json:"shed"`
 	ShedWeight float64 `json:"shed_weight"`
 
@@ -103,10 +106,13 @@ type ForwardStats struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// spoolEntry is one closed window interval awaiting delivery.
+// spoolEntry is one closed window interval awaiting delivery. seq
+// numbers entries in enqueue order, so the delivery loop can tell
+// whether the entry it sent is still spooled.
 type spoolEntry struct {
 	payload []byte
 	weight  float64
+	seq     uint64
 }
 
 // forwarder ships closed window intervals to a root's /ingest. The
@@ -136,6 +142,7 @@ type forwarder struct {
 	mu          sync.Mutex
 	cond        *sync.Cond // signaled when spool gains an entry or ctx is canceled
 	spool       []spoolEntry
+	nextSeq     uint64
 	stats       ForwardStats
 	lastSuccess time.Time
 
@@ -224,17 +231,16 @@ func (f *forwarder) enqueue(closed *ddsketch.DDSketch) {
 		f.stats.Shed++
 		f.stats.ShedWeight += shed.weight
 	}
-	f.spool = append(f.spool, spoolEntry{payload: payload, weight: weight})
+	f.nextSeq++
+	f.spool = append(f.spool, spoolEntry{payload: payload, weight: weight, seq: f.nextSeq})
 	f.mu.Unlock()
 	f.cond.Signal()
 }
 
 // head blocks until the spool has a head entry or the forwarder is
 // closed, returning ok=false on close. The entry stays spooled until
-// dequeueHead; a shed while an attempt is in flight can drop it, in
-// which case the in-flight attempt's outcome is counted against
-// whichever entry is at the head afterwards — acceptable, since both
-// carry the same fate (retry or shed) under a down root.
+// settleLocked, unless a newer interval closing while its attempt is in
+// flight sheds it first.
 func (f *forwarder) head() (spoolEntry, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -247,14 +253,18 @@ func (f *forwarder) head() (spoolEntry, bool) {
 	return f.spool[0], true
 }
 
-// dequeueHead removes the spool head after a delivery or permanent
-// rejection.
-func (f *forwarder) dequeueHead() {
-	f.mu.Lock()
-	if len(f.spool) > 0 {
+// settleLocked removes a delivered or permanently rejected entry from
+// the spool. Sheds only ever drop the head, so the entry is either still
+// the head or gone; if it was shed while its attempt was in flight, the
+// shed is taken back, since the attempt decided its fate — a delivered
+// shed entry did reach the root. Callers hold f.mu.
+func (f *forwarder) settleLocked(e spoolEntry) {
+	if len(f.spool) > 0 && f.spool[0].seq == e.seq {
 		f.spool = f.spool[1:]
+		return
 	}
-	f.mu.Unlock()
+	f.stats.Shed--
+	f.stats.ShedWeight -= e.weight
 }
 
 // run is the delivery loop: POST the oldest spooled interval, dequeue
@@ -262,7 +272,7 @@ func (f *forwarder) dequeueHead() {
 func (f *forwarder) run() {
 	defer close(f.done)
 	backoff := f.cfg.BackoffBase
-	attempted := false // whether the current head has been tried before
+	var attempted uint64 // seq of the last entry whose attempt failed (seqs start at 1)
 	for {
 		entry, ok := f.head()
 		if !ok {
@@ -270,7 +280,7 @@ func (f *forwarder) run() {
 		}
 		f.mu.Lock()
 		f.stats.Attempts++
-		if attempted {
+		if entry.seq == attempted {
 			f.stats.Retries++
 		}
 		f.mu.Unlock()
@@ -282,10 +292,9 @@ func (f *forwarder) run() {
 			f.stats.ForwardedWeight += entry.weight
 			f.stats.LastError = ""
 			f.lastSuccess = f.now()
+			f.settleLocked(entry)
 			f.mu.Unlock()
-			f.dequeueHead()
 			backoff = f.cfg.BackoffBase
-			attempted = false
 		case err == nil && status >= 400 && status < 500 &&
 			status != http.StatusRequestTimeout && status != http.StatusTooManyRequests:
 			// The root understood the request and refused the payload;
@@ -293,10 +302,9 @@ func (f *forwarder) run() {
 			f.mu.Lock()
 			f.stats.Rejected++
 			f.stats.LastError = fmt.Sprintf("root rejected interval: HTTP %d", status)
+			f.settleLocked(entry)
 			f.mu.Unlock()
-			f.dequeueHead()
 			backoff = f.cfg.BackoffBase
-			attempted = false
 		default:
 			f.mu.Lock()
 			if err != nil {
@@ -305,7 +313,7 @@ func (f *forwarder) run() {
 				f.stats.LastError = fmt.Sprintf("root answered HTTP %d", status)
 			}
 			f.mu.Unlock()
-			attempted = true
+			attempted = entry.seq
 			if !f.sleep(f.ctx, f.jitter(backoff)) {
 				return
 			}

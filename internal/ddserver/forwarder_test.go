@@ -173,6 +173,90 @@ func TestForwarderPermanentRejection(t *testing.T) {
 	}
 }
 
+// TestForwarderShedWhileInFlight: an interval shed while its POST is in
+// flight, and then accepted by the root, did reach the root. The
+// forwarder must not dequeue some other, never-sent interval in its
+// place, and must take the shed back, so that the root ends up holding
+// exactly what was spooled minus the counted sheds.
+func TestForwarderShedWhileInFlight(t *testing.T) {
+	inFlight := make(chan struct{})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	var first atomic.Bool
+	var mu sync.Mutex
+	received := 0.0
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if first.CompareAndSwap(false, true) {
+			close(inFlight)
+			<-release
+		}
+		sk, err := ddsketch.Decode(body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		received += sk.Count()
+		mu.Unlock()
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	t.Cleanup(upstream.Close)
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+
+	cfg := testForwardConfig(upstream.URL)
+	cfg.Spool = 2
+	fwd, err := newForwarder(cfg, time.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go fwd.run()
+	t.Cleanup(fwd.Close)
+
+	// Interval 1 (weight 1) goes out, and the root holds its POST.
+	fwd.enqueue(sketchOf(t, 1))
+	select {
+	case <-inFlight:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first interval was never sent")
+	}
+	// Intervals 2..4 (weights 2..4) close meanwhile; the 2-slot spool
+	// sheds intervals 1 and 2.
+	total := 1.0
+	for n := 2; n <= 4; n++ {
+		values := make([]float64, n)
+		for i := range values {
+			values[i] = float64(i + 1)
+		}
+		fwd.enqueue(sketchOf(t, values...))
+		total += float64(n)
+	}
+	if st := fwd.snapshot(); st.Shed != 2 || st.ShedWeight != 3 {
+		t.Fatalf("shed %d (weight %g) before release, want 2 (weight 3)", st.Shed, st.ShedWeight)
+	}
+
+	releaseOnce.Do(func() { close(release) })
+	waitFor(t, 5*time.Second, "the spool to drain", func() bool {
+		st := fwd.snapshot()
+		return st.SpoolDepth == 0 && st.Forwarded+st.Shed == st.Spooled
+	})
+	st := fwd.snapshot()
+	mu.Lock()
+	got := received
+	mu.Unlock()
+	if got != total-st.ShedWeight {
+		t.Errorf("root holds weight %g, want sent %g minus shed weight %g", got, total, st.ShedWeight)
+	}
+	if st.Forwarded != 3 || st.Shed != 1 || st.ShedWeight != 2 {
+		t.Errorf("forwarded/shed/shed weight = %d/%d/%g, want 3/1/2 (only interval 2 was lost)",
+			st.Forwarded, st.Shed, st.ShedWeight)
+	}
+}
+
 // leafRootPair builds a forwarding leaf in front of a root. The root
 // listens on a real TCP listener (not httptest) so tests can kill and
 // revive it on a stable address. Returns the leaf HTTP endpoint too,
@@ -626,8 +710,13 @@ func TestLeafRootSpoolOverflowSheds(t *testing.T) {
 	}
 
 	// The root recovers and receives what survived: total minus sheds.
+	// An attempt already under way when its interval was shed may still
+	// land once the root is back; the forwarder then takes that shed
+	// back, so the identity is checked against the settled counters.
 	p.reviveRoot(t)
 	waitFor(t, 10*time.Second, "surviving intervals delivered", func() bool {
-		return p.root.Aggregate().Count() == total-fs.ShedWeight
+		fs, _ := p.leaf.ForwardStats()
+		return fs.SpoolDepth == 0 && fs.Forwarded+fs.Shed == fs.Spooled &&
+			p.root.Aggregate().Count() == total-fs.ShedWeight
 	})
 }

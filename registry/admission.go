@@ -102,9 +102,8 @@ func (c *countMin) sizeBytes() int { return 8*len(c.counts) + 48 }
 // decayToGeneration applies every rotation-driven admission decay due
 // between the segment's last decay and gen: one halving per `every`
 // intervals elapsed. Callers must hold the segment lock. A gen at or
-// behind the last decay is a no-op — callers sample the clock before
-// locking, so a stale generation must not underflow the subtraction
-// and wipe the admission state.
+// behind the last decay is a no-op, so a stale generation can never
+// underflow the subtraction and wipe the admission state.
 func (seg *segment) decayToGeneration(gen uint64, every int) {
 	if gen <= seg.decayGen {
 		return

@@ -2,13 +2,16 @@
 // cardinality: per-value and batched keyed ingest against 10⁵ distinct
 // series under a 10⁴-sketch budget (so admission, eviction, and
 // overflow all stay on the measured path), and match-all/filtered
-// roll-ups over a full registry. cmd/ddbench's `keyed` cell records the
-// same quantities machine-readably for the CI gate.
+// roll-ups over a full registry; cmd/ddbench's `keyed` cell records
+// those quantities machine-readably for the CI gate. The interval close
+// over 10⁴ live windowed series and label-set canonicalization are
+// measured here only.
 package registry
 
 import (
 	"strconv"
 	"testing"
+	"time"
 
 	"github.com/ddsketch-go/ddsketch"
 	"github.com/ddsketch-go/ddsketch/internal/datagen"
@@ -155,5 +158,69 @@ func BenchmarkSketchMapRollUpFilteredScan(b *testing.B) {
 		if _, _, err := m.RollUpScan(f, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSketchMapRotate measures one interval close over 10⁴ live
+// windowed series. Every series is rewritten (off the clock) once per
+// ring length, always just before it would go idle, so each timed
+// Rotate closes an interval in which nothing expires: the cost a drain
+// loop pays per tick for a registry that stays fully live.
+func BenchmarkSketchMapRotate(b *testing.B) {
+	const (
+		series  = 10_000
+		windows = 256 // long rings keep the off-the-clock rewrites rare
+	)
+	clock := time.Unix(1_700_000_000, 0)
+	m, err := New(
+		WithKeyWindow(windows, time.Second, func() time.Time { return clock }),
+		WithMaxSketches(series),
+		WithAdmissionThreshold(0),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := benchLabelSets(b, series)
+	writeAll := func() {
+		for _, k := range keys {
+			if err := m.Add(k, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	writeAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		clock = clock.Add(time.Second)
+		if i%windows == 0 {
+			b.StopTimer()
+			writeAll()
+			b.StartTimer()
+		}
+		m.Rotate()
+	}
+	b.StopTimer()
+	if live := m.LiveKeys(); live != series {
+		b.Fatalf("LiveKeys = %d, want %d", live, series)
+	}
+}
+
+// BenchmarkParseLabelSet measures canonicalizing a request's series key
+// — the first step of every keyed write — for a 3- and a 5-label key,
+// each given out of canonical order.
+func BenchmarkParseLabelSet(b *testing.B) {
+	for _, in := range []struct{ name, key string }{
+		{"labels=3", "service=api,endpoint=/login,status=500"},
+		{"labels=5", "service=api,endpoint=/login,status=500,zone=us-east-1a,host=web-042"},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ParseLabelSet(in.key); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

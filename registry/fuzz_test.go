@@ -2,6 +2,8 @@ package registry
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,12 +11,16 @@ import (
 )
 
 // FuzzLabelSetRoundTrip asserts the canonicalization contract over
-// arbitrary input: parsing never panics, and when it succeeds the
-// canonical encoding is a fixed point — parse → String → parse yields
-// the identical canonical string, with the labels intact and
-// addressable via Get. Canonical encodings are the registry's map
-// keys, so a non-idempotent encoding would silently split one series
-// into several.
+// arbitrary input: parsing never panics; it agrees with the reference
+// split-then-sort canonicalizer (labels_ref_test.go) — both accept with
+// the same canonical string and labels, or both reject with
+// ErrInvalidLabelSet; and when it succeeds the canonical encoding is a
+// fixed point — parse → String → parse yields the identical canonical
+// string, with the labels intact and addressable via Get. Canonical
+// encodings are the registry's map keys, so a non-idempotent encoding
+// would silently split one series into several. NewLabelSet is held to
+// its reference the same way, on pairs cut from the input at '|' and
+// ':' so names and values may carry ',', '=' and whitespace.
 func FuzzLabelSetRoundTrip(f *testing.F) {
 	seeds := []string{
 		"service=api",
@@ -25,6 +31,7 @@ func FuzzLabelSetRoundTrip(f *testing.F) {
 		"expr=a=b=c",
 		"q=a b c",
 		"a=1,a=2",
+		"b=1,a=2,b=3",
 		"=nope",
 		"noequals",
 		",",
@@ -33,20 +40,36 @@ func FuzzLabelSetRoundTrip(f *testing.F) {
 		strings.Repeat("x", MaxEncodedLength+1),
 		"\x00=\x01",
 		"k=\xff\xfe",
+		"\u00a0k\u2003=\u0085v\u3000",
 		"*=*",
+		"a:1|b:2",
+		"a:1|a:2",
+		" a:1",
+		"a,b:1",
+		"a:1,2",
+		"a=b:1",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		ls, err := ParseLabelSet(s)
-		if err != nil {
+		ref, refErr := refParseLabelSet(s)
+		assertSameLabelSet(t, "ParseLabelSet", s, ls, err, ref, refErr)
+
+		var pairs []Label
+		for _, p := range strings.Split(s, "|") {
+			name, value, _ := strings.Cut(p, ":")
+			pairs = append(pairs, Label{Name: name, Value: value})
+		}
+		built, err := NewLabelSet(pairs...)
+		ref, refErr = refNewLabelSet(pairs...)
+		assertSameLabelSet(t, "NewLabelSet on the pairs of", s, built, err, ref, refErr)
+
+		if ls.IsZero() {
 			return // hostile input rejected without panicking: fine
 		}
 		canonical := ls.String()
-		if canonical == "" || ls.IsZero() {
-			t.Fatalf("ParseLabelSet(%q) accepted but produced a zero set", s)
-		}
 		again, err := ParseLabelSet(canonical)
 		if err != nil {
 			t.Fatalf("canonical %q does not re-parse: %v", canonical, err)
@@ -73,6 +96,25 @@ func FuzzLabelSetRoundTrip(f *testing.F) {
 			t.Fatalf("NewLabelSet disagrees with parser: %q vs %q", rebuilt.String(), canonical)
 		}
 	})
+}
+
+// assertSameLabelSet fails unless a canonicalizer's result on input
+// agrees with the reference's: both rejected with ErrInvalidLabelSet,
+// or both accepted with the same canonical string and labels.
+func assertSameLabelSet(t *testing.T, call, input string, got LabelSet, err error, want LabelSet, wantErr error) {
+	t.Helper()
+	if err != nil || wantErr != nil {
+		if !errors.Is(err, ErrInvalidLabelSet) || !errors.Is(wantErr, ErrInvalidLabelSet) {
+			t.Fatalf("%s %q: error %v, reference error %v; want both ErrInvalidLabelSet", call, input, err, wantErr)
+		}
+		return
+	}
+	if got.String() == "" || got.IsZero() {
+		t.Fatalf("%s %q accepted but produced a zero set", call, input)
+	}
+	if got.String() != want.String() || !slices.Equal(got.Labels(), want.Labels()) {
+		t.Fatalf("%s %q = %q %q, reference %q %q", call, input, got.String(), got.Labels(), want.String(), want.Labels())
+	}
 }
 
 // FuzzFilterMatch asserts the tag-filter parser is total (never
@@ -139,18 +181,23 @@ func FuzzFilterMatch(f *testing.F) {
 
 // FuzzInvertedIndexConsistency replays an arbitrary interleaving of
 // installs (admission-gated adds across a small key universe), clock
-// advances, rotations, and budget evictions against a windowed
-// registry, then asserts the correctness contract of the inverted
-// label index: for every filter and trailing window, the index-driven
-// roll-up is bin-identical (same matched count, same encoded bytes) to
-// the reference full scan. Any install/evict/expire path that forgets
-// to maintain a posting list shows up here as a divergence.
+// advances and rewinds, rotations, and budget evictions against a
+// windowed registry. After every step each segment's LRU order must
+// keep the invariant Rotate's tail walk relies on, and after every
+// Rotate no live series may be idle — so the tail walk expires exactly
+// what a walk over every live series would. At the end it asserts the
+// correctness contract of the inverted label index: for every filter
+// and trailing window, the index-driven roll-up is bin-identical (same
+// matched count, same encoded bytes) to the reference full scan. Any
+// install/evict/expire path that forgets to maintain a posting list
+// shows up here as a divergence.
 func FuzzInvertedIndexConsistency(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
-	f.Add([]byte{3, 3, 3, 3})                          // clock advances only
-	f.Add(bytes.Repeat([]byte{0, 40, 80, 120}, 32))    // heavy installs, one gen
-	f.Add(bytes.Repeat([]byte{0, 3, 160, 4, 200}, 20)) // add/advance/rotate mix
+	f.Add([]byte{3, 3, 3, 3})                           // clock advances only
+	f.Add(bytes.Repeat([]byte{0, 40, 80, 120}, 32))     // heavy installs, one gen
+	f.Add(bytes.Repeat([]byte{0, 3, 160, 4, 200}, 20))  // add/advance/rotate mix
+	f.Add(bytes.Repeat([]byte{3, 3, 49, 37, 65, 4}, 8)) // installs straddling rewinds
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
@@ -187,11 +234,16 @@ func FuzzInvertedIndexConsistency(f *testing.F) {
 				clock.Advance(500 * time.Millisecond)
 			case 4:
 				m.Rotate()
+			case 5:
+				clock.Advance(-1500 * time.Millisecond)
 			default:
 				key := keys[int(b>>3)%len(keys)]
 				if err := m.AddWithCount(key, 1+float64(b%7), 1+float64(b%3)); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if err := lruInvariantErr(m, b%8 == 4); err != nil {
+				t.Fatal(err)
 			}
 		}
 		filters := []string{

@@ -88,6 +88,9 @@ type LabelSet struct {
 // may themselves contain '=' (but not ','). Duplicate names, empty
 // names, and inputs beyond MaxLabels/MaxEncodedLength are rejected.
 // The result round-trips: ParseLabelSet(ls.String()) yields ls again.
+//
+// Parsing is one scan over s into a stack scratch; the result costs two
+// allocations, its canonical string and its label slice.
 func ParseLabelSet(s string) (LabelSet, error) {
 	if len(s) > MaxEncodedLength {
 		return LabelSet{}, fmt.Errorf("%w: %d bytes exceeds the %d-byte limit", ErrInvalidLabelSet, len(s), MaxEncodedLength)
@@ -95,24 +98,25 @@ func ParseLabelSet(s string) (LabelSet, error) {
 	if strings.TrimSpace(s) == "" {
 		return LabelSet{}, fmt.Errorf("%w: empty", ErrInvalidLabelSet)
 	}
-	parts := strings.Split(s, ",")
-	if len(parts) > MaxLabels {
-		return LabelSet{}, fmt.Errorf("%w: %d labels exceed the %d-label limit", ErrInvalidLabelSet, len(parts), MaxLabels)
-	}
-	labels := make([]Label, 0, len(parts))
-	for _, part := range parts {
+	var scratch [MaxLabels]Label
+	n := 0
+	for rest, more := s, true; more; n++ {
+		if n == MaxLabels {
+			return LabelSet{}, fmt.Errorf("%w: %d labels exceed the %d-label limit", ErrInvalidLabelSet, strings.Count(s, ",")+1, MaxLabels)
+		}
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		name, value, ok := strings.Cut(part, "=")
 		if !ok {
 			return LabelSet{}, fmt.Errorf("%w: %q is not a name=value pair", ErrInvalidLabelSet, strings.TrimSpace(part))
 		}
 		name = strings.TrimSpace(name)
-		value = strings.TrimSpace(value)
 		if name == "" {
 			return LabelSet{}, fmt.Errorf("%w: empty label name in %q", ErrInvalidLabelSet, strings.TrimSpace(part))
 		}
-		labels = append(labels, Label{Name: name, Value: value})
+		scratch[n] = Label{Name: name, Value: strings.TrimSpace(value)}
 	}
-	return NewLabelSet(labels...)
+	return canonicalize(scratch[:n])
 }
 
 // NewLabelSet builds a canonical label set from explicit pairs,
@@ -127,11 +131,7 @@ func NewLabelSet(labels ...Label) (LabelSet, error) {
 	if len(labels) > MaxLabels {
 		return LabelSet{}, fmt.Errorf("%w: %d labels exceed the %d-label limit", ErrInvalidLabelSet, len(labels), MaxLabels)
 	}
-	sorted := make([]Label, len(labels))
-	copy(sorted, labels)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	var b strings.Builder
-	for i, l := range sorted {
+	for _, l := range labels {
 		if l.Name == "" {
 			return LabelSet{}, fmt.Errorf("%w: empty label name", ErrInvalidLabelSet)
 		}
@@ -144,9 +144,41 @@ func NewLabelSet(labels ...Label) (LabelSet, error) {
 		if l.Name != strings.TrimSpace(l.Name) || l.Value != strings.TrimSpace(l.Value) {
 			return LabelSet{}, fmt.Errorf("%w: label %q=%q has surrounding whitespace", ErrInvalidLabelSet, l.Name, l.Value)
 		}
-		if i > 0 && sorted[i-1].Name == l.Name {
+	}
+	var scratch [MaxLabels]Label
+	return canonicalize(scratch[:copy(scratch[:], labels)])
+}
+
+// canonicalize sorts valid, trimmed pairs by name in place, rejects
+// duplicate names and over-long encodings, and builds the canonical
+// set: one exactly sized string, and a label slice whose names and
+// values point into it, so the set never keeps its caller's strings — a
+// whole request body, when the key was cut from one — alive for the
+// life of a series.
+func canonicalize(labels []Label) (LabelSet, error) {
+	// Insertion sort: at most MaxLabels pairs, usually a handful, often
+	// already in order.
+	for i := 1; i < len(labels); i++ {
+		l := labels[i]
+		j := i
+		for ; j > 0 && labels[j-1].Name > l.Name; j-- {
+			labels[j] = labels[j-1]
+		}
+		labels[j] = l
+	}
+	size := len(labels) - 1 // separating commas
+	for i, l := range labels {
+		if i > 0 && labels[i-1].Name == l.Name {
 			return LabelSet{}, fmt.Errorf("%w: duplicate label name %q", ErrInvalidLabelSet, l.Name)
 		}
+		size += len(l.Name) + 1 + len(l.Value)
+	}
+	if size > MaxEncodedLength {
+		return LabelSet{}, fmt.Errorf("%w: encoding %d bytes exceeds the %d-byte limit", ErrInvalidLabelSet, size, MaxEncodedLength)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -154,22 +186,16 @@ func NewLabelSet(labels ...Label) (LabelSet, error) {
 		b.WriteByte('=')
 		b.WriteString(l.Value)
 	}
-	if b.Len() > MaxEncodedLength {
-		return LabelSet{}, fmt.Errorf("%w: encoding %d bytes exceeds the %d-byte limit", ErrInvalidLabelSet, b.Len(), MaxEncodedLength)
-	}
-	// Re-point every name and value into the canonical encoding, so the
-	// set never keeps its caller's strings — a whole request body, when
-	// the key was cut from one — alive for the life of a series.
 	str := b.String()
+	out := make([]Label, len(labels))
 	off := 0
-	for i := range sorted {
-		l := &sorted[i]
-		l.Name = str[off : off+len(l.Name)]
+	for i, l := range labels {
+		out[i].Name = str[off : off+len(l.Name)]
 		off += len(l.Name) + 1 // '='
-		l.Value = str[off : off+len(l.Value)]
+		out[i].Value = str[off : off+len(l.Value)]
 		off += len(l.Value) + 1 // ','
 	}
-	return LabelSet{labels: sorted, str: str}, nil
+	return LabelSet{labels: out, str: str}, nil
 }
 
 // String returns the canonical encoding: pairs sorted by name, joined

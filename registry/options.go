@@ -169,7 +169,10 @@ func WithSketchOptions(opts ...ddsketch.Option) Option {
 // span for every series — and the rotation tick also drives admission
 // decay (see WithAdmissionDecay) and ages idle series out entirely
 // (see SketchMap.Rotate). Rotation is lazy and O(1) per series touch:
-// no background goroutine is started.
+// no background goroutine is started. Rotate itself costs O(segments +
+// expired series): writes keep each segment's write-recency list
+// ordered by the generation last written, so the idle series are the
+// ones at its back.
 //
 // clock overrides the time source (nil means time.Now); inject a fake
 // clock in tests to control rotation deterministically.

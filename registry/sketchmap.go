@@ -77,6 +77,12 @@ func mergeInto(acc *ddsketch.DDSketch) func(*ddsketch.DDSketch) error {
 // admission sketch, its overflow ring, and its slice of the inverted
 // label index. All fields are guarded by mu; per-key sketches are only
 // touched under it, so they are plain (non-concurrent) sketches.
+//
+// Every write moves its entry to the LRU front as it marks the entry's
+// ring written at gen, and gen never decreases, so walking the LRU list
+// from back to front, the rings' written generations never decrease:
+// the idle series are exactly a suffix at the back, which is what lets
+// Rotate stop at the first live one.
 type segment struct {
 	mu       sync.Mutex
 	entries  map[string]*entry
@@ -85,6 +91,7 @@ type segment struct {
 	cm       *countMin
 	observed int    // admission updates since the last decay (unwindowed)
 	decayGen uint64 // generation of the last rotation-driven decay (windowed)
+	gen      uint64 // high-water generation every ring advance under mu uses
 
 	// Inverted label index, maintained on install/evict/expire under mu:
 	// exact maps "name=value" to the live entries carrying that pair,
@@ -275,6 +282,16 @@ func (m *SketchMap) generation() uint64 {
 	return m.grid.Gen(m.clock())
 }
 
+// lockedGen returns the generation ring operations under seg's lock
+// use: the clock's present generation, or the segment's high-water
+// generation if the clock reads behind it (a rewound clock). Read under
+// the lock and never lowered, it orders writes exactly as the lock
+// does. Callers must hold seg.mu.
+func (m *SketchMap) lockedGen(seg *segment) uint64 {
+	seg.gen = max(seg.gen, m.generation())
+	return seg.gen
+}
+
 // newRing returns an empty ring on the registry's grid with its head at
 // generation gen: one slot per key window, or one for an unwindowed
 // registry.
@@ -334,9 +351,9 @@ func (m *SketchMap) AddWithCount(ls LabelSet, value, count float64) error {
 	key := ls.String()
 	hash := fnv1a64(key)
 	seg := m.segmentFor(hash)
-	gen := m.generation()
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
+	gen := m.lockedGen(seg)
 	if e, ok := seg.entries[key]; ok {
 		seg.lru.MoveToFront(e.elem)
 		return m.head(&e.ring, gen).AddWithCount(value, count)
@@ -380,9 +397,9 @@ func (m *SketchMap) AddBatchWithCount(ls LabelSet, values []float64, count float
 	key := ls.String()
 	hash := fnv1a64(key)
 	seg := m.segmentFor(hash)
-	gen := m.generation()
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
+	gen := m.lockedGen(seg)
 	if e, ok := seg.entries[key]; ok {
 		seg.lru.MoveToFront(e.elem)
 		return m.head(&e.ring, gen).AddBatchWithCount(values, count)
@@ -474,45 +491,56 @@ func (m *SketchMap) evictLocked(seg *segment, gen uint64) error {
 	if err != nil {
 		return err
 	}
-	seg.lru.Remove(back)
-	key := victim.labels.String()
-	delete(seg.entries, key)
-	seg.indexRemove(key, victim)
-	m.live.Add(-1)
+	m.removeLocked(seg, victim)
 	m.evicted.Add(1)
 	return nil
 }
 
+// removeLocked unlinks an evicted or expired entry from the segment's
+// map, recency list, and index, and frees its budget slot.
+func (m *SketchMap) removeLocked(seg *segment, e *entry) {
+	seg.lru.Remove(e.elem)
+	key := e.labels.String()
+	delete(seg.entries, key)
+	seg.indexRemove(key, e)
+	m.live.Add(-1)
+}
+
 // Rotate advances the registry to the rotation generation containing
-// the clock's present reading: admission decay catches up in every
-// segment and windowed series whose whole ring has gone empty (idle for
-// at least Windows intervals) are dropped — freeing their budget slot
-// with nothing to merge, the windowed plane's LRU aging. Rotation is
-// otherwise lazy (each series catches up when touched), so an idle
-// registry only notices expiry at its next operation; periodic
-// maintenance (such as ddserver's drain loop) calls Rotate to age
-// series out promptly. A no-op on unwindowed registries.
+// the clock's present reading: admission decay and the overflow rings
+// catch up in every segment, and windowed series whose whole ring has
+// gone empty (idle for at least Windows intervals) are dropped —
+// freeing their budget slot with nothing to merge, the windowed plane's
+// LRU aging. Rotation is otherwise lazy (each series catches up when
+// touched), so an idle registry only notices expiry at its next
+// operation; periodic maintenance (such as ddserver's drain loop) calls
+// Rotate to age series out promptly. A no-op on unwindowed registries.
+//
+// A call costs O(segments + expired series), not O(live series): each
+// segment's idle series form a suffix of its write-recency list (see
+// segment), so Rotate pops them off the back and stops at the first
+// series written within the ring. Live series are left for their next
+// read or write to advance.
 func (m *SketchMap) Rotate() {
-	gen := m.generation()
-	m.noteGeneration(gen)
+	m.noteGeneration(m.generation())
 	if m.cfg.keyWindows == 0 {
 		return
 	}
 	for _, seg := range m.segs {
 		seg.mu.Lock()
+		gen := m.lockedGen(seg)
 		if m.cfg.decayEvery > 0 {
 			seg.decayToGeneration(gen, m.cfg.decayEvery)
 		}
 		seg.overflow.Advance(gen, nil)
-		for key, e := range seg.entries {
+		for back := seg.lru.Back(); back != nil; back = seg.lru.Back() {
+			e := back.Value.(*entry)
 			e.ring.Advance(gen, nil)
-			if e.ring.Idle() {
-				seg.lru.Remove(e.elem)
-				delete(seg.entries, key)
-				seg.indexRemove(key, e)
-				m.live.Add(-1)
-				m.expired.Add(1)
+			if !e.ring.Idle() {
+				break
 			}
+			m.removeLocked(seg, e)
+			m.expired.Add(1)
 		}
 		seg.mu.Unlock()
 	}
@@ -530,14 +558,13 @@ func (m *SketchMap) Get(ls LabelSet, window int) (ddsketch.Sketch, bool) {
 	}
 	key := ls.String()
 	seg := m.segmentFor(fnv1a64(key))
-	gen := m.generation()
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	e, ok := seg.entries[key]
 	if !ok {
 		return nil, false
 	}
-	e.ring.Advance(gen, nil)
+	e.ring.Advance(m.lockedGen(seg), nil)
 	if window <= 0 {
 		window = math.MaxInt // every retained interval; Trailing clamps
 	}
@@ -553,11 +580,10 @@ func (m *SketchMap) Get(ls LabelSet, window int) (ddsketch.Sketch, bool) {
 // answers like any other sketch (and is empty when gating and the
 // budget never fired).
 func (m *SketchMap) Overflow() (*ddsketch.DDSketch, error) {
-	gen := m.generation()
 	acc := m.proto.Copy()
 	for _, seg := range m.segs {
 		seg.mu.Lock()
-		seg.overflow.Advance(gen, nil)
+		seg.overflow.Advance(m.lockedGen(seg), nil)
 		err := seg.overflow.Trailing(seg.overflow.Len(), mergeInto(acc))
 		seg.mu.Unlock()
 		if err != nil {
@@ -604,13 +630,13 @@ func (m *SketchMap) rollUp(f Filter, window int, useIndex bool) (*ddsketch.DDSke
 	if window <= 0 {
 		window = math.MaxInt // every retained interval; Trailing clamps
 	}
-	gen := m.generation()
-	m.noteGeneration(gen)
+	m.noteGeneration(m.generation())
 	acc := m.proto.Copy()
 	merge := mergeInto(acc)
 	matched := 0
 	for _, seg := range m.segs {
 		seg.mu.Lock()
+		gen := m.lockedGen(seg)
 		if f.MatchesAll() {
 			seg.overflow.Advance(gen, nil)
 			if err := seg.overflow.Trailing(window, merge); err != nil {
@@ -715,8 +741,7 @@ func indexSizeBytesLocked(seg *segment) int {
 
 // Stats returns the registry's counters and estimated footprint.
 func (m *SketchMap) Stats() Stats {
-	gen := m.generation()
-	m.noteGeneration(gen)
+	m.noteGeneration(m.generation())
 	stats := Stats{
 		LiveKeys:         m.LiveKeys(),
 		MaxSketches:      m.cfg.maxSketches,
@@ -733,7 +758,7 @@ func (m *SketchMap) Stats() Stats {
 	}
 	for _, seg := range m.segs {
 		seg.mu.Lock()
-		seg.overflow.Advance(gen, nil)
+		seg.overflow.Advance(m.lockedGen(seg), nil)
 		weight, size := ringStats(&seg.overflow)
 		stats.OverflowWeight += weight
 		stats.IndexPostings += len(seg.exact) + len(seg.present)
@@ -752,7 +777,6 @@ func (m *SketchMap) Stats() Stats {
 // The rotation grid keeps its anchor: generations keep counting from
 // construction time.
 func (m *SketchMap) Clear() {
-	gen := m.generation()
 	for _, seg := range m.segs {
 		seg.mu.Lock()
 		m.live.Add(-int64(len(seg.entries)))
@@ -763,7 +787,7 @@ func (m *SketchMap) Clear() {
 		seg.overflow.Clear()
 		seg.cm.reset()
 		seg.observed = 0
-		seg.decayGen = gen
+		seg.decayGen = m.lockedGen(seg)
 		seg.mu.Unlock()
 	}
 	m.admitted.Store(0)

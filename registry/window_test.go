@@ -11,6 +11,8 @@ package registry
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"testing"
@@ -809,5 +811,273 @@ func TestRegistryEvictMergeFailureKeepsVictim(t *testing.T) {
 	}
 	if overflow.Count() != 1 {
 		t.Fatalf("overflow count = %g after retried evict, want 1 (a's value)", overflow.Count())
+	}
+}
+
+// writtenGen recovers the newest generation written into r, given r's
+// current generation gen, or reports false if r is idle. The window
+// package keeps that generation to itself; Zip copies it into a probe
+// ring of fresh (nil) slots, which is then advanced until it turns
+// idle — safe, since the probe shares no slot with r.
+func writtenGen(r *sketchRing, gen uint64) (uint64, bool) {
+	if r.Idle() {
+		return 0, false
+	}
+	probe := window.NewRing(make([]*ddsketch.DDSketch, r.Len()), 0)
+	_ = window.Zip(&probe, r, func(**ddsketch.DDSketch, *ddsketch.DDSketch) error { return nil })
+	for k := uint64(1); ; k++ {
+		p := probe
+		p.Advance(gen+k, nil)
+		if p.Idle() {
+			return gen + k - uint64(r.Len()), true
+		}
+	}
+}
+
+// lruInvariantErr checks the invariant Rotate's tail walk relies on, in
+// every segment: walking the LRU list from back to front, idle series
+// come first (a suffix at the back) and the live ones' written
+// generations never decrease. With afterRotate, no series may be idle
+// at all — a Rotate with the clock unmoved since must have removed
+// every one, the same set a walk over every live series removes. Each
+// ring is first caught up to its segment's generation, as any read
+// would.
+func lruInvariantErr(m *SketchMap, afterRotate bool) error {
+	for i, seg := range m.segs {
+		seg.mu.Lock()
+		var prev uint64
+		seenLive := false
+		var err error
+		for el := seg.lru.Back(); el != nil && err == nil; el = el.Prev() {
+			e := el.Value.(*entry)
+			e.ring.Advance(seg.gen, nil)
+			written, live := writtenGen(&e.ring, seg.gen)
+			switch {
+			case !live && afterRotate:
+				err = fmt.Errorf("segment %d: idle series %q survived Rotate at generation %d", i, e.labels, seg.gen)
+			case !live && seenLive:
+				err = fmt.Errorf("segment %d: idle series %q is ahead of a live one in LRU order", i, e.labels)
+			case live && seenLive && written < prev:
+				err = fmt.Errorf("segment %d: series %q written at %d is ahead of one written at %d in LRU order", i, e.labels, written, prev)
+			case live:
+				seenLive, prev = true, written
+			}
+		}
+		seg.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRegistryRejectedBatchExpiresOnSchedule: a batch rejected on its
+// first value (NaN) still touches its live series — the series moves to
+// the LRU front and its ring counts the interval as written, exactly as
+// for eviction — so the series expires Windows intervals after that
+// touch, no earlier and no later, while its LRU neighbour expires on its
+// own schedule. A rejected batch for a series that is not live installs
+// nothing.
+func TestRegistryRejectedBatchExpiresOnSchedule(t *testing.T) {
+	clock := newFakeClock()
+	m, err := New(
+		WithKeyWindow(3, time.Second, clock.Now),
+		WithAdmissionThreshold(0),
+		WithSegments(1),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := mustLabelSet(t, "k=a"), mustLabelSet(t, "k=b"), mustLabelSet(t, "k=c")
+	nan := []float64{math.NaN(), 1}
+	for _, ls := range []LabelSet{a, b} { // generation 0; LRU back→front: a, b
+		if err := m.AddBatch(ls, []float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock.Advance(time.Second) // generation 1
+	if err := m.AddBatch(a, nan); err == nil {
+		t.Fatal("a batch starting with NaN was accepted")
+	}
+	if err := m.AddBatch(c, nan); err == nil {
+		t.Fatal("a batch starting with NaN was accepted")
+	}
+	if m.LiveKeys() != 2 {
+		t.Fatalf("LiveKeys = %d after a rejected first batch, want 2 (nothing installed)", m.LiveKeys())
+	}
+	if err := lruInvariantErr(m, false); err != nil {
+		t.Fatal(err)
+	}
+	// Generation 3 retains {1, 2, 3}: b (written at 0) expires even
+	// though it is no longer at the LRU back; a (touched at 1) stays.
+	clock.Advance(2 * time.Second)
+	m.Rotate()
+	if err := lruInvariantErr(m, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Get(b, 0); ok {
+		t.Error("b still live three intervals after its last write")
+	}
+	sk, ok := m.Get(a, 0)
+	if !ok {
+		t.Fatal("a expired two intervals after its rejected batch")
+	}
+	if sk.Count() != 0 {
+		t.Errorf("a count = %g, want 0 (its generation-0 data aged out)", sk.Count())
+	}
+	clock.Advance(time.Second) // generation 4
+	m.Rotate()
+	if st := m.Stats(); st.LiveKeys != 0 || st.Expired != 2 || st.IndexPostings != 0 {
+		t.Fatalf("live/expired/postings = %d/%d/%d, want 0/2/0", st.LiveKeys, st.Expired, st.IndexPostings)
+	}
+}
+
+// TestRegistryWriteAfterClockRewindExpiresOnSchedule: a series first
+// written after the clock steps back is installed at its segment's
+// high-water generation, not the rewound one, so it sits at the LRU
+// front with the newest written generation and expires Windows
+// intervals after that generation — with the series written before the
+// rewind, not ahead of it.
+func TestRegistryWriteAfterClockRewindExpiresOnSchedule(t *testing.T) {
+	clock := newFakeClock()
+	m, err := New(
+		WithKeyWindow(3, time.Second, clock.Now),
+		WithAdmissionThreshold(0),
+		WithSegments(1),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := mustLabelSet(t, "k=a"), mustLabelSet(t, "k=b")
+	clock.Advance(2 * time.Second) // generation 2
+	if err := m.Add(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(-2 * time.Second) // rewound: the clock reads generation 0
+	if err := m.Add(b, 2); err != nil {
+		t.Fatal(err)
+	}
+	m.Rotate()
+	if err := lruInvariantErr(m, true); err != nil {
+		t.Fatal(err)
+	}
+	// The clock reaches generation 3, three intervals after the rewound
+	// reading b was written at: b must survive, its data lives in
+	// generation 2.
+	clock.Advance(3 * time.Second)
+	m.Rotate()
+	if err := lruInvariantErr(m, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, ls := range []LabelSet{a, b} {
+		if sk, ok := m.Get(ls, 0); !ok || sk.Count() != 1 {
+			t.Fatalf("%v at generation 3: ok=%v, want live with count 1", ls, ok)
+		}
+	}
+	clock.Advance(2 * time.Second) // generation 5: {3, 4, 5} retained
+	m.Rotate()
+	if st := m.Stats(); st.LiveKeys != 0 || st.Expired != 2 {
+		t.Fatalf("live/expired = %d/%d at generation 5, want 0/2", st.LiveKeys, st.Expired)
+	}
+}
+
+// TestRegistryRotateConcurrent runs batch writers (some batches
+// rejected on their first value), a clock that steps forward and now
+// and then back, roll-ups, reads and Rotate at once, checking the LRU
+// invariant Rotate's tail walk relies on while they run; at quiescence
+// a final Rotate must leave no idle series behind. The CI race step
+// re-runs it.
+func TestRegistryRotateConcurrent(t *testing.T) {
+	const (
+		writers = 4
+		perW    = 1_500
+		keys    = 40
+	)
+	clock := newFakeClock()
+	m, err := New(
+		WithKeyWindow(3, time.Second, clock.Now),
+		WithMaxSketches(24),
+		WithAdmissionThreshold(2),
+		WithAdmissionDecay(1),
+		WithSegments(4),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := make([]LabelSet, keys)
+	for i := range series {
+		series[i] = mustLabelSet(t, "svc=s"+strconv.Itoa(i%4)+",key=k"+strconv.Itoa(i))
+	}
+	filter := mustFilter(t, "svc=s1")
+	stop := make(chan struct{})
+	var writersDone, others sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writersDone.Add(1)
+		go func(w int) {
+			defer writersDone.Done()
+			batch := []float64{1, 2, 3}
+			for i := 0; i < perW; i++ {
+				batch[0] = float64(1 + (w+i)%50)
+				if i%17 == 0 {
+					batch[0] = math.NaN() // rejected on its first value
+				}
+				err := m.AddBatch(series[(w*7+i)%keys], batch)
+				if err != nil && i%17 != 0 {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	others.Add(2)
+	go func() { // clock: mostly forward, occasionally rewound
+		defer others.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%5 == 0 {
+				clock.Advance(-700 * time.Millisecond)
+			} else {
+				clock.Advance(400 * time.Millisecond)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	var checkErr error
+	go func() { // rotator and reader
+		defer others.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.Rotate()
+			if _, _, err := m.RollUp(filter, 1+i%3); err != nil {
+				t.Error(err)
+				return
+			}
+			_, _ = m.Get(series[i%keys], 2)
+			_ = m.Stats()
+			if err := lruInvariantErr(m, false); err != nil && checkErr == nil {
+				checkErr = err
+			}
+		}
+	}()
+	writersDone.Wait()
+	close(stop)
+	others.Wait()
+	if checkErr != nil {
+		t.Fatal(checkErr)
+	}
+	m.Rotate()
+	if err := lruInvariantErr(m, true); err != nil {
+		t.Fatal(err)
+	}
+	if live := m.LiveKeys(); live > 24 {
+		t.Errorf("LiveKeys = %d exceeds budget 24 at quiescence", live)
 	}
 }
